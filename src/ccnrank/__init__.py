@@ -39,10 +39,7 @@ from .models import (
     ModelConfig,
     RankingModel,
     build_model,
-    ccn_lstm_forward,
-    dual_forward,
     load_checkpoint,
-    mfcw_forward,
     save_checkpoint,
 )
 from .numerics import (

@@ -1,7 +1,7 @@
 """Command-line entry points wiring the library into reproducible runs.
 
-Commands: gen-synthetic, prepare-vocab, train, evaluate, rescore,
-ensemble-eval (evaluate with several checkpoints), gradcheck.
+Commands: gen-synthetic, prepare-vocab, train, evaluate (one checkpoint or
+an ensemble of several, optionally CWF-rescored), gradcheck.
 
 Conventions:
   * every command writes a JSON run manifest (command, resolved
@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import corpus, evaluation, models, training, vocab as vb
-from .layers import CCN_HEADS, ConfigurationError, load_word_vectors
+from .layers import ConfigurationError, load_word_vectors
 from .numerics import ContractError, ShapeError, finite_diff_check
 from .training import TrainingDiverged
 
@@ -286,24 +286,21 @@ def cmd_train(args):
     return EXIT_OK
 
 
-# -- evaluate / rescore / ensemble-eval ----------------------------------------------
+# -- evaluate ---------------------------------------------------------------------------
 
 
 def cmd_evaluate(args):
-    if args.command == "rescore" and args.cwf_scale is None and not args.tune_cwf:
-        raise corpus.ConfigError("rescore requires --cwf-scale or --tune-cwf")
     model_paths = [p for p in args.models.split(",") if p]
     inputs = model_paths + [args.vocab, args.eval] + ([args.tune_cwf] if args.tune_cwf else [])
     write_manifest(
         args.manifest,
-        args.command,
+        "evaluate",
         {
             "models": model_paths,
             "vocab": args.vocab,
             "eval": args.eval,
             "cwf_scale": args.cwf_scale,
             "tune_cwf": args.tune_cwf,
-            "threads": args.threads,
         },
         inputs=inputs,
         outputs=[],
@@ -316,10 +313,10 @@ def cmd_evaluate(args):
     if args.tune_cwf:
         tune_set = corpus.load_eval(args.tune_cwf)
         _progress(f"tuning cwf scale on {len(tune_set)} validation instances")
-        scale = evaluation.tune_scale(loaded, tune_set, threads=args.threads)
+        scale = evaluation.tune_scale(loaded, tune_set)
         _emit("tuned_scale", f"{scale:g}")
     _progress(f"evaluating {len(loaded)} model(s) on {len(eval_set)} instances (scale {scale:g})")
-    report = evaluation.evaluate(loaded, eval_set, scale=scale, threads=args.threads)
+    report = evaluation.evaluate(loaded, eval_set, scale=scale)
     sys.stdout.write(report.to_tsv())
     return EXIT_OK
 
@@ -417,25 +414,24 @@ def build_parser():
     tr.add_argument("--threshold", type=int, default=None, help="high/low frequency boundary")
     tr.add_argument("--patience", type=int, default=None)
     tr.add_argument("--precision", default="float64", choices=("float64", "float32"))
-    tr.add_argument("--ccn-head", default="sigmoid", choices=CCN_HEADS, dest="ccn_head")
+    tr.add_argument(
+        "--ccn-head", default="sigmoid", choices=models.CCN_HEADS, dest="ccn_head",
+        help="ccn_lstm cross-convolution branch: sigmoid (one dense head, raw score) or parallel "
+        "(two dense heads, sigmoid(first) + second); the final sigmoid applies in both",
+    )
     tr.add_argument("--clip-norm", type=float, default=None, dest="clip_norm")
     tr.add_argument("--config", default=None)
     tr.set_defaults(handler=cmd_train)
 
-    for name, help_text in (
-        ("evaluate", "rank an eval CSV with one model or an ensemble"),
-        ("rescore", "evaluate with a CWF adjustment (requires a scale or tuning set)"),
-        ("ensemble-eval", "evaluate an ensemble of checkpoints"),
-    ):
-        ev = sub.add_parser(name, help=help_text)
-        ev.add_argument("--models", required=True, help="comma-separated checkpoint paths")
-        ev.add_argument("--vocab", required=True)
-        ev.add_argument("--eval", required=True)
-        ev.add_argument("--cwf-scale", type=float, default=None, dest="cwf_scale")
-        ev.add_argument("--tune-cwf", default=None, dest="tune_cwf", help="validation CSV for scale tuning")
-        ev.add_argument("--threads", type=int, default=1)
-        ev.add_argument("--manifest", default="run-manifest.json")
-        ev.set_defaults(handler=cmd_evaluate)
+    ev = sub.add_parser("evaluate", help="rank an eval CSV with one model or an ensemble")
+    ev.add_argument("--models", required=True, help="comma-separated checkpoint paths")
+    ev.add_argument("--vocab", required=True)
+    ev.add_argument("--eval", required=True)
+    cwf = ev.add_mutually_exclusive_group()
+    cwf.add_argument("--cwf-scale", type=float, default=None, dest="cwf_scale", help="CWF scale (default 0)")
+    cwf.add_argument("--tune-cwf", default=None, dest="tune_cwf", help="validation CSV for scale tuning")
+    ev.add_argument("--manifest", default="run-manifest.json")
+    ev.set_defaults(handler=cmd_evaluate)
 
     gc = sub.add_parser("gradcheck", help="verify model gradients against finite differences")
     gc.add_argument("--arch", required=True, choices=models.ARCHITECTURES)

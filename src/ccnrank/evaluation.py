@@ -10,7 +10,6 @@ Ensembles are unweighted means of member probabilities.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,30 +96,18 @@ def _check_shared_vocabulary(models):
             raise ContractError("model has no vocabulary attached")
 
 
-def score_instances(models, instances, batch_size=256, threads=1):
+def score_instances(models, instances, batch_size=256):
     """ScoredCandidateSets: ensembled model probabilities plus CWF per candidate."""
     _check_shared_vocabulary(models)
     vocab = models[0].vocab
     n_candidates = len(instances[0].candidates) if instances else 0
-
-    def score_chunk(chunk):
-        pairs = [(inst.context, cand) for inst in chunk for cand in inst.candidates]
-        member_probs = [m.score_pairs(pairs, batch_size=batch_size) for m in models]
-        probs = ensemble_scores(member_probs).reshape(len(chunk), n_candidates)
-        out = []
-        for i, inst in enumerate(chunk):
-            cwf = np.array([cwf_score(inst.context, cand, vocab) for cand in inst.candidates])
-            out.append(ScoredCandidateSet(probabilities=probs[i], cwf=cwf))
-        return out
-
-    if threads <= 1 or len(instances) <= 1:
-        return score_chunk(list(instances))
-    chunks = np.array_split(np.arange(len(instances)), threads)
+    pairs = [(inst.context, cand) for inst in instances for cand in inst.candidates]
+    member_probs = [m.score_pairs(pairs, batch_size=batch_size) for m in models]
+    probs = ensemble_scores(member_probs).reshape(len(instances), n_candidates)
     scored = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(score_chunk, [instances[i] for i in idx]) for idx in chunks if len(idx)]
-        for future in futures:  # submission order keeps aggregation deterministic
-            scored.extend(future.result())
+    for i, inst in enumerate(instances):
+        cwf = np.array([cwf_score(inst.context, cand, vocab) for cand in inst.candidates])
+        scored.append(ScoredCandidateSet(probabilities=probs[i], cwf=cwf))
     return scored
 
 
@@ -137,9 +124,9 @@ def report_from_scored(scored_sets, scale) -> RecallReport:
     )
 
 
-def evaluate(models, instances, scale=0.0, batch_size=256, threads=1) -> RecallReport:
+def evaluate(models, instances, scale=0.0, batch_size=256) -> RecallReport:
     """Score, ensemble, CWF-rescore, and rank an eval set into a RecallReport."""
-    scored = score_instances(models, instances, batch_size=batch_size, threads=threads)
+    scored = score_instances(models, instances, batch_size=batch_size)
     return report_from_scored(scored, scale)
 
 
@@ -156,7 +143,7 @@ def tune_scale_from_scored(scored_sets, grid=DEFAULT_SCALE_GRID) -> float:
     return best_scale
 
 
-def tune_scale(models, validation_instances, grid=DEFAULT_SCALE_GRID, batch_size=256, threads=1) -> float:
+def tune_scale(models, validation_instances, grid=DEFAULT_SCALE_GRID, batch_size=256) -> float:
     """Pick the CWF scale on a validation split by recall@1."""
-    scored = score_instances(models, validation_instances, batch_size=batch_size, threads=threads)
+    scored = score_instances(models, validation_instances, batch_size=batch_size)
     return tune_scale_from_scored(scored, grid)

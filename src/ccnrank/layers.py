@@ -24,12 +24,6 @@ from . import numerics as nm
 from .numerics import ContractError, ShapeError, Tensor
 from .vocab import EncodedSequence
 
-SIGMOID_HEAD = "sigmoid"
-LINEAR_HEAD = "linear"
-PARALLEL_HEAD = "parallel"
-CCN_HEADS = (SIGMOID_HEAD, LINEAR_HEAD, PARALLEL_HEAD)
-
-
 class ConfigurationError(ValueError):
     """A layer was configured with unusable sizes."""
 
@@ -80,20 +74,20 @@ class DenseScorerParams:
 
 @dataclass(eq=False)
 class CcnParams:
+    """Dense head over the pooled grid; a second weight/bias pair makes it
+    the parallel head, sigmoid(first) + second."""
+
     k: int
     weight: Tensor  # [k * L]
     bias: Tensor  # [1]
-    head: str = SIGMOID_HEAD
     weight2: Tensor | None = None  # parallel head only
     bias2: Tensor | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
-        if self.head not in CCN_HEADS:
-            raise ConfigurationError(f"head must be one of {CCN_HEADS}, got {self.head!r}")
-        if self.head == PARALLEL_HEAD and (self.weight2 is None or self.bias2 is None):
-            raise ConfigurationError("parallel head needs a second weight/bias pair")
+        if (self.weight2 is None) != (self.bias2 is None):
+            raise ConfigurationError("parallel head needs both a second weight and a second bias")
 
 
 # -- initializers -------------------------------------------------------------
@@ -331,8 +325,8 @@ def cross_convolution(
     excluded from pooling, and padded response rows (at or beyond
     ``response_length``) pool to gradient-free zeros, so padding influences
     neither the score nor any gradient.  Pooled values are concatenated in
-    response order and fed to the dense head.  Returns (score, probability):
-    the raw dense output and its activation.
+    response order and fed to the dense head.  Returns the raw score; the
+    model combines it with its other branch under one sigmoid.
     """
     single = context_emb.ndim == 2
     if single:
@@ -361,16 +355,9 @@ def cross_convolution(
     score = nm.add(
         nm.matmul(pooled, params.weight.reshape(kl, 1)).reshape(b), params.bias
     )
-    if params.head == PARALLEL_HEAD:
+    if params.weight2 is not None:
         second = nm.add(
             nm.matmul(pooled, params.weight2.reshape(kl, 1)).reshape(b), params.bias2
         )
         score = nm.add(score.sigmoid(), second)
-        prob = score.sigmoid()
-    elif params.head == SIGMOID_HEAD:
-        prob = score.sigmoid()
-    else:
-        prob = score
-    if single:
-        return score.reshape(()), prob.reshape(())
-    return score, prob
+    return score.reshape(()) if single else score

@@ -10,7 +10,9 @@
 ``ccn_lstm``      the dual-encoder branch on one embedding table plus a
                   cross-convolution branch on a second table (tables do not
                   share weights); both branches see high-band words only and
-                  their raw scores combine under one sigmoid.
+                  their raw scores combine under one sigmoid.  ``ccn_head``
+                  ``parallel`` gives the cross-convolution branch a second
+                  dense head: its score is sigmoid(first) + second.
 
 Checkpoints are a binary container: 8-byte magic ``CCNRANK1``, a 4-byte
 little-endian header length, a canonical-JSON header (format version,
@@ -22,36 +24,35 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import numerics as nm
 from . import vocab as vb
-from .corpus import TokenSequence
 from .layers import (
-    CCN_HEADS,
     BilinearParams,
     CcnParams,
     DenseScorerParams,
     EmbeddingTable,
     LstmParams,
-    SIGMOID_HEAD,
     apply_pretrained,
     bilinear_score,
     cross_convolution,
     dense_score,
     embed_lookup,
     init_embedding_matrix,
+    init_lstm_arrays,
     lstm_encode,
 )
 from .numerics import ContractError, ParameterSet, Tensor
-from .vocab import EncodedSequence, FrequencySplit, Vocabulary
+from .vocab import FrequencySplit, Vocabulary
 
 DUAL_LSTM = "dual_lstm"
 MFCW_LSTM = "mfcw_lstm"
 CCN_LSTM = "ccn_lstm"
 ARCHITECTURES = (DUAL_LSTM, MFCW_LSTM, CCN_LSTM)
+CCN_HEADS = ("sigmoid", "parallel")
 
 CHECKPOINT_MAGIC = b"CCNRANK1"
 CHECKPOINT_VERSION = 1
@@ -72,7 +73,7 @@ class ModelConfig:
     frequency_threshold: int = vb.DEFAULT_FREQUENCY_THRESHOLD
     seed: int = 0
     precision: str = "float64"
-    ccn_head: str = SIGMOID_HEAD
+    ccn_head: str = "sigmoid"
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
@@ -181,7 +182,6 @@ class RankingModel:
             k=self.config.k,
             weight=self.params["ccn.weight"],
             bias=self.params["ccn.bias"],
-            head=self.config.ccn_head,
             weight2=self.params["ccn2.weight"] if parallel else None,
             bias2=self.params["ccn2.bias"] if parallel else None,
         )
@@ -211,11 +211,10 @@ def build_model(config: ModelConfig, vocab: Vocabulary, pretrained_vectors=None)
     """Initialize a model over ``vocab``; optionally load pretrained vectors
     into the first (high-frequency) embedding table.  Returns the model and
     the pretrained coverage count."""
-    rng = np.random.default_rng(config.seed)
     dtype = np.dtype(_DTYPES[config.precision])
     params = ParameterSet()
-    for name, shape in parameter_spec(config, vocab.size):
-        params.add(name, _initial_value(name, shape, rng).astype(dtype))
+    for name, value in _initial_values(config, vocab.size).items():
+        params.add(name, value.astype(dtype))
     coverage = 0
     if pretrained_vectors is not None:
         table = params[_embedding_names(config)[0]]
@@ -225,27 +224,31 @@ def build_model(config: ModelConfig, vocab: Vocabulary, pretrained_vectors=None)
     return model, coverage
 
 
-def _initial_value(name, shape, rng):
-    if name.startswith("embedding"):
-        return init_embedding_matrix(shape[0], shape[1], rng)
-    if name == "branch_weights":
-        return np.ones(shape)
-    if name.startswith("bilinear"):
-        # similarity prior: start the learned bilinear form at plain inner
-        # product so aligned encodings score high from the first step
-        return np.eye(shape[0])
-    if name.endswith(".bias") and name.startswith("ccn"):
-        return np.zeros(shape)
-    if name.endswith((".w_in", ".w_rec")):
-        return rng.uniform(-0.08, 0.08, size=shape)
-    if name.endswith(".bias"):
-        # LSTM bias: forget-gate block opens at 1
-        h = shape[0] // 4
-        bias = np.zeros(shape)
-        bias[h : 2 * h] = 1.0
-        return bias
-    # score heads: common-word heads, ccn dense weights
-    return rng.uniform(-0.08, 0.08, size=shape)
+def _initial_values(config: ModelConfig, vocab_size):
+    """Initial arrays by name, drawn from one seeded stream in parameter_spec
+    order, so a seed fixes every parameter bit for bit."""
+    rng = np.random.default_rng(config.seed)
+    values = {}
+    for name, shape in parameter_spec(config, vocab_size):
+        if name in values:  # the .w_rec and .bias of an LSTM drawn at its .w_in
+            continue
+        if name.startswith("embedding"):
+            values[name] = init_embedding_matrix(shape[0], shape[1], rng)
+        elif name.endswith(".w_in"):
+            prefix = name[: -len(".w_in")]
+            arrays = init_lstm_arrays(shape[1], shape[0] // 4, rng)
+            values.update(zip((name, f"{prefix}.w_rec", f"{prefix}.bias"), arrays))
+        elif name == "branch_weights":
+            values[name] = np.ones(shape)
+        elif name.startswith("bilinear"):
+            # similarity prior: start the learned bilinear form at plain inner
+            # product so aligned encodings score high from the first step
+            values[name] = np.eye(shape[0])
+        elif name.endswith(".bias"):  # ccn dense biases
+            values[name] = np.zeros(shape)
+        else:  # score heads: common-word heads, ccn dense weights
+            values[name] = rng.uniform(-0.08, 0.08, size=shape)
+    return values
 
 
 def randomize_parameters(model: RankingModel, rng, scale=0.5):
@@ -284,14 +287,10 @@ def _stack(encoded):
     return ids, lengths
 
 
-def _require_vocab(model):
-    if model.vocab is None:
-        raise ContractError("model has no vocabulary attached")
-
-
 def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
     """Encode token pairs into the per-band id columns the architecture needs."""
-    _require_vocab(model)
+    if model.vocab is None:
+        raise ContractError("model has no vocabulary attached")
     length = model.config.max_len
     vocab, split = model.vocab, model.split
     ctx = [vb.encode(c, vocab, length, vb.CONTEXT) for c, _ in pairs]
@@ -309,19 +308,6 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
         columns["ctx_high"] = _stack([vb.filter_sequence(e, split, vb.HIGH) for e in ctx])
         columns["resp_high"] = _stack([vb.filter_sequence(e, split, vb.HIGH) for e in resp])
     return PreparedPairs(columns, len(pairs))
-
-
-def prepare_encoded(model: RankingModel, context: EncodedSequence, response: EncodedSequence):
-    """Single-pair preparation from already-encoded full sequences (dual/ccn)."""
-    _require_vocab(model)
-    split = model.split
-    return PreparedPairs(
-        {
-            "ctx_high": _stack([vb.filter_sequence(context, split, vb.HIGH)]),
-            "resp_high": _stack([vb.filter_sequence(response, split, vb.HIGH)]),
-        },
-        1,
-    )
 
 
 def _branch_combine(weights: Tensor, scores) -> Tensor:
@@ -367,7 +353,7 @@ def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Te
     r = lstm_encode(embed_lookup(resp_ids, emb_lstm), resp_len, enc)
     s_lstm = bilinear_score(c, r, model.bilinear())
     emb_ccn = model.embedding("embedding_ccn")
-    s_ccn, _ = cross_convolution(
+    s_ccn = cross_convolution(
         embed_lookup(ctx_ids, emb_ccn),
         embed_lookup(resp_ids, emb_ccn),
         model.ccn(),
@@ -375,40 +361,6 @@ def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Te
         response_length=resp_len,
     )
     return nm.sigmoid(_branch_combine(model.params["branch_weights"], [s_lstm, s_ccn]))
-
-
-# -- per-instance forwards (contract surface) ----------------------------------
-
-
-def _require_arch(model, arch):
-    if model.config.architecture != arch:
-        raise ContractError(f"model architecture is {model.config.architecture!r}, expected {arch!r}")
-
-
-def dual_forward(context: EncodedSequence, response: EncodedSequence, model: RankingModel) -> float:
-    """Tied-encoder probability for one encoded (context, response) pair."""
-    _require_arch(model, DUAL_LSTM)
-    with nm.no_grad():
-        return float(forward_batch(model, prepare_encoded(model, context, response)).data[0])
-
-
-def ccn_lstm_forward(context: EncodedSequence, response: EncodedSequence, model: RankingModel) -> float:
-    """Dual-branch (encoder + cross-convolution) probability for one encoded pair."""
-    _require_arch(model, CCN_LSTM)
-    with nm.no_grad():
-        return float(forward_batch(model, prepare_encoded(model, context, response)).data[0])
-
-
-def mfcw_forward(context: TokenSequence, response: TokenSequence, model: RankingModel) -> float:
-    """Multi-band probability for one raw token pair.
-
-    Takes tokens rather than encoded ids because the common-word branch
-    needs token types (distinct unknown words must not collide through the
-    shared out-of-vocabulary id).
-    """
-    _require_arch(model, MFCW_LSTM)
-    with nm.no_grad():
-        return float(forward_batch(model, prepare_pairs(model, [(tuple(context), tuple(response))])).data[0])
 
 
 # -- persistence ----------------------------------------------------------------
@@ -421,14 +373,7 @@ def save_checkpoint(model: RankingModel, path):
     for name in sorted(model.params.names()):
         t = model.params[name]
         dtype = _DTYPES[model.config.precision]
-        manifest.append(
-            {
-                "name": name,
-                "shape": list(t.shape),
-                "dtype": dtype,
-                "trainable": model.params.is_trainable(name),
-            }
-        )
+        manifest.append({"name": name, "shape": list(t.shape), "dtype": dtype})
         payload.append(np.ascontiguousarray(t.data, dtype=np.dtype(dtype)).tobytes())
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -443,6 +388,33 @@ def save_checkpoint(model: RankingModel, path):
         f.write(blob)
         for chunk in payload:
             f.write(chunk)
+
+
+def _decode_header(header, path):
+    """Config, vocabulary hash and (name, shape, dtype) manifest entries of a
+    parsed header.  Any malformed field raises CheckpointError."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: format version {header.get('format_version')} != {CHECKPOINT_VERSION}"
+        )
+    try:
+        keys = set(header["config"])
+        if keys != {f.name for f in fields(ModelConfig)}:
+            raise CheckpointError(f"{path}: config keys {sorted(map(str, keys))} are not ModelConfig's")
+        config = ModelConfig(**header["config"])
+        # older files also carry a "trainable" flag per entry; it is ignored
+        entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in header["manifest"]]
+    except (KeyError, TypeError, ContractError) as err:
+        raise CheckpointError(f"{path}: malformed header: {err!r}") from None
+    for name, shape, _ in entries:
+        if not isinstance(name, str) or not all(type(d) is int and d > 0 for d in shape):
+            raise CheckpointError(f"{path}: malformed manifest entry {name!r} with shape {shape}")
+    vocab_hash = header.get("vocab_hash")
+    if vocab_hash is not None and not isinstance(vocab_hash, str):
+        raise CheckpointError(f"{path}: vocabulary hash is not a string")
+    return config, vocab_hash, entries
 
 
 def load_checkpoint(path, vocab: Vocabulary | None = None) -> RankingModel:
@@ -461,47 +433,39 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> RankingModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: unreadable header: {err}") from None
     offset += header_len
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {header.get('format_version')} != {CHECKPOINT_VERSION}"
-        )
-    config = ModelConfig(**header["config"])
-    manifest = header["manifest"]
+    config, vocab_hash, manifest = _decode_header(header, path)
     if not manifest:
         raise CheckpointError(f"{path}: empty manifest")
-    vocab_rows = None
-    for entry in manifest:
-        if entry["name"] == _embedding_names(config)[0]:
-            vocab_rows = entry["shape"][0]
+    table = _embedding_names(config)[0]
+    vocab_rows = next((shape[0] for name, shape, _ in manifest if name == table and shape), None)
     if vocab_rows is None:
         raise CheckpointError(f"{path}: manifest lacks the embedding table")
     expected = dict(parameter_spec(config, vocab_rows))
-    names_seen = set()
     params = ParameterSet()
-    for entry in manifest:
-        name, shape, dtype = entry["name"], tuple(entry["shape"]), entry["dtype"]
+    for name, shape, dtype in manifest:
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected parameter {name!r}")
+        if name in params:
+            raise CheckpointError(f"{path}: duplicate parameter {name!r}")
         if shape != expected[name]:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {shape}, expected {expected[name]}"
             )
         if dtype not in _DTYPES.values():
             raise CheckpointError(f"{path}: parameter {name!r} has unsupported dtype {dtype!r}")
-        count = int(np.prod(shape)) if shape else 1
+        count = int(np.prod(shape))
         nbytes = count * np.dtype(dtype).itemsize
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload for parameter {name!r}")
         arr = np.frombuffer(raw, dtype=np.dtype(dtype), count=count, offset=offset).reshape(shape)
         offset += nbytes
-        params.add(name, arr.copy(), trainable=entry.get("trainable", True))
-        names_seen.add(name)
-    missing = set(expected) - names_seen
+        params.add(name, arr.copy())
+    missing = set(expected) - set(params.names())
     if missing:
         raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")
-    model = RankingModel(config, params, vocab_hash=header.get("vocab_hash"))
+    model = RankingModel(config, params, vocab_hash=vocab_hash)
     if vocab is not None:
         model.attach_vocab(vocab)
     return model

@@ -32,7 +32,7 @@ class ContractError(ValueError):
     """An operation was called outside its stated contract."""
 
 
-_tape_state = threading.local()  # per-thread: parallel scoring must not race
+_tape_state = threading.local()  # per-thread, so one thread's no_grad leaves others taping
 
 
 def _grad_enabled():
@@ -403,19 +403,17 @@ def backward(output: Tensor):
 
 
 class ParameterSet:
-    """Named leaf tensors with parallel gradient slots and trainable flags."""
+    """Named leaf tensors with parallel gradient slots."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
-    def add(self, name, value, trainable=True) -> Tensor:
+    def add(self, name, value) -> Tensor:
         if name in self._tensors:
             raise ContractError(f"duplicate parameter name {name!r}")
         t = value if isinstance(value, Tensor) else Tensor(value)
         t.requires_grad = True
         self._tensors[name] = t
-        self._trainable[name] = bool(trainable)
         return t
 
     def __contains__(self, name):
@@ -432,12 +430,6 @@ class ParameterSet:
 
     def items(self):
         return self._tensors.items()
-
-    def is_trainable(self, name):
-        return self._trainable[name]
-
-    def set_trainable(self, name, flag):
-        self._trainable[name] = bool(flag)
 
     def zero_gradients(self):
         for t in self._tensors.values():
@@ -467,8 +459,8 @@ class ParameterSet:
 class RmsProp:
     """RMSProp: acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/sqrt(acc+eps).
 
-    Frozen parameters are left untouched.  Gradients are zeroed after the
-    step so the next backward pass starts clean.
+    Gradients are zeroed after the step so the next backward pass starts
+    clean.
     """
 
     def __init__(self, params: ParameterSet, learning_rate=1e-3, rho=0.9, epsilon=1e-6):
@@ -480,9 +472,6 @@ class RmsProp:
 
     def step(self):
         for name, t in self.params.items():
-            if not self.params.is_trainable(name):
-                t.grad = None
-                continue
             g = t.grad if t.grad is not None else np.zeros_like(t.data)
             acc = self.accumulators.get(name)
             if acc is None:
@@ -491,10 +480,6 @@ class RmsProp:
             self.accumulators[name] = acc
             t.data = t.data - self.learning_rate * g / np.sqrt(acc + self.epsilon)
             t.grad = None
-
-
-def rmsprop_step(params: ParameterSet, state: RmsProp):
-    state.step()
 
 
 # -- gradient verification --------------------------------------------------

@@ -190,7 +190,7 @@ class TestEvaluate:
         assert rc1 == rc2 == EXIT_OK
         capsys.readouterr()
         rc = main(
-            ["ensemble-eval", "--models", f"{ckpt1},{ckpt2}", "--vocab", str(vocab),
+            ["evaluate", "--models", f"{ckpt1},{ckpt2}", "--vocab", str(vocab),
              "--eval", str(data / "eval.csv")]
         )
         assert rc == EXIT_OK
@@ -207,17 +207,30 @@ class TestEvaluate:
         )
         assert rc == EXIT_USAGE
 
-    def test_rescore_requires_scale_or_tuning(self, run_in_tmpdir):
+    def test_malformed_checkpoint_header_is_usage_error(self, run_in_tmpdir):
+        data = gen(run_in_tmpdir)
+        rc, ckpt = train_tiny(run_in_tmpdir, data)
+        blob = ckpt.read_bytes()
+        # an extra config key, same header length: "seed" becomes "sedd"
+        ckpt.write_bytes(blob.replace(b'"seed":', b'"sedd":', 1))
+        rc = main(
+            ["evaluate", "--models", str(ckpt), "--vocab", str(run_in_tmpdir / "model.ckpt.vocab.txt"),
+             "--eval", str(data / "eval.csv")]
+        )
+        assert rc == EXIT_USAGE
+
+    def test_cwf_scale_and_tune_cwf_are_exclusive(self, run_in_tmpdir):
         data = gen(run_in_tmpdir)
         rc, ckpt = train_tiny(run_in_tmpdir, data)
         vocab = run_in_tmpdir / "model.ckpt.vocab.txt"
         rc = main(
-            ["rescore", "--models", str(ckpt), "--vocab", str(vocab),
-             "--eval", str(data / "eval.csv")]
+            ["evaluate", "--models", str(ckpt), "--vocab", str(vocab),
+             "--eval", str(data / "eval.csv"), "--cwf-scale", "5",
+             "--tune-cwf", str(data / "validation.csv")]
         )
         assert rc == EXIT_USAGE
         rc = main(
-            ["rescore", "--models", str(ckpt), "--vocab", str(vocab),
+            ["evaluate", "--models", str(ckpt), "--vocab", str(vocab),
              "--eval", str(data / "eval.csv"), "--cwf-scale", "0.5"]
         )
         assert rc == EXIT_OK

@@ -15,7 +15,6 @@ from ccnrank.evaluation import (
     tune_scale,
     tune_scale_from_scored,
 )
-from ccnrank.models import ModelConfig, build_model
 from ccnrank.numerics import ContractError
 from ccnrank.vocab import build_vocab
 
@@ -237,16 +236,6 @@ class TestEvaluate:
         models = [FixedScoreModel(self.vocab, lambda c, r: 0.0), FixedScoreModel(other, lambda c, r: 0.0)]
         with pytest.raises(ContractError, match="hash"):
             evaluate(models, self.evals)
-
-    def test_threads_match_serial(self):
-        model, _ = build_model(
-            ModelConfig(architecture="dual_lstm", embedding_dim=4, hidden_size=4, max_len=12, seed=1),
-            self.vocab,
-        )
-        instances = self.evals[:20]
-        serial = evaluate([model], instances, scale=0.05, threads=1)
-        threaded = evaluate([model], instances, scale=0.05, threads=3)
-        assert serial.recall_at == threaded.recall_at
 
     def test_report_tsv_format(self):
         report = RecallReport(recall_at={1: 0.5, 2: 0.75, 5: 1.0}, n_instances=4, scale=0.1)

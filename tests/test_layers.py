@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -304,13 +302,12 @@ class TestKmax:
             assert set(np.unique(t.grad)) <= {0.0, 1.0}
 
 
-def ccn_params(ps, k, resp_len, weight=None, bias=0.0, head="sigmoid"):
+def ccn_params(ps, k, resp_len, weight=None, bias=0.0):
     w = np.zeros(k * resp_len) if weight is None else np.asarray(weight, dtype=np.float64)
     return CcnParams(
         k=k,
         weight=ps.add("ccn.weight", w),
         bias=ps.add("ccn.bias", np.array([bias])),
-        head=head,
     )
 
 
@@ -320,9 +317,8 @@ class TestCrossConvolution:
         params = ccn_params(ps, 1, 3, weight=np.ones(3), bias=0.7)
         ctx = Tensor(np.random.default_rng(0).normal(size=(2, 4)))
         resp = Tensor(np.zeros((2, 3)))
-        score, prob = cross_convolution(ctx, resp, params, context_length=4)
+        score = cross_convolution(ctx, resp, params, context_length=4)
         assert score.item() == pytest.approx(0.7)
-        assert prob.item() == pytest.approx(1.0 / (1.0 + math.exp(-0.7)))
 
     def test_hand_evaluated_case(self):
         # unit-basis context columns, response = e1: grid row [1, 0], k=1
@@ -330,9 +326,8 @@ class TestCrossConvolution:
         params = ccn_params(ps, 1, 1, weight=[1.0], bias=0.0)
         ctx = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         resp = Tensor(np.array([[1.0], [0.0]]))
-        score, prob = cross_convolution(ctx, resp, params, context_length=2)
+        score = cross_convolution(ctx, resp, params, context_length=2)
         assert score.item() == pytest.approx(1.0)
-        assert prob.item() == pytest.approx(0.7310586, abs=1e-6)
 
     def test_pooled_in_response_order(self):
         # two response words with distinct best matches
@@ -340,7 +335,7 @@ class TestCrossConvolution:
         params = ccn_params(ps, 1, 2, weight=[1.0, 10.0], bias=0.0)
         ctx = Tensor(np.array([[2.0, 0.0], [0.0, 3.0]]))
         resp = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        score, _ = cross_convolution(ctx, resp, params, context_length=2)
+        score = cross_convolution(ctx, resp, params, context_length=2)
         # response word 0 pools 2.0, word 1 pools 3.0 -> 1*2 + 10*3
         assert score.item() == pytest.approx(32.0)
 
@@ -349,7 +344,7 @@ class TestCrossConvolution:
         params = ccn_params(ps, 1, 1, weight=[1.0], bias=0.0)
         ctx = Tensor(np.array([[-1.0, 0.0], [-1.0, 0.0]]))  # second column is padding
         resp = Tensor(np.array([[1.0], [1.0]]))
-        score, _ = cross_convolution(ctx, resp, params, context_length=1)
+        score = cross_convolution(ctx, resp, params, context_length=1)
         assert score.item() == pytest.approx(-2.0)  # not the 0.0 of the pad column
 
     def test_invariant_to_permuting_pad_columns(self):
@@ -359,10 +354,10 @@ class TestCrossConvolution:
         ctx = rng.normal(size=(4, 6))
         ctx[:, 4:] = 0.0
         resp = Tensor(rng.normal(size=(4, 3)))
-        base, _ = cross_convolution(Tensor(ctx), resp, params, context_length=4)
+        base = cross_convolution(Tensor(ctx), resp, params, context_length=4)
         permuted = ctx.copy()
         permuted[:, [4, 5]] = permuted[:, [5, 4]]
-        swapped, _ = cross_convolution(Tensor(permuted), resp, params, context_length=4)
+        swapped = cross_convolution(Tensor(permuted), resp, params, context_length=4)
         assert base.item() == swapped.item()
 
     def test_k_larger_than_context_rejected(self):
@@ -377,16 +372,16 @@ class TestCrossConvolution:
             k=1,
             weight=ps.add("w1", np.zeros(2)),
             bias=ps.add("b1", np.zeros(1)),
-            head="parallel",
             weight2=ps.add("w2", np.zeros(2)),
-            bias2=ps.add("b2", np.zeros(1)),
+            bias2=ps.add("b2", np.full(1, 0.25)),
         )
         ctx = Tensor(np.zeros((2, 2)))
         resp = Tensor(np.zeros((2, 2)))
-        score, prob = cross_convolution(ctx, resp, params, context_length=2)
-        # sigmoid(0) + 0 = 0.5, then sigmoid(0.5)
-        assert score.item() == pytest.approx(0.5)
-        assert prob.item() == pytest.approx(1.0 / (1.0 + math.exp(-0.5)))
+        score = cross_convolution(ctx, resp, params, context_length=2)
+        # sigmoid(first head's 0) + second head's bias
+        assert score.item() == pytest.approx(0.75)
+        with pytest.raises(ConfigurationError):
+            CcnParams(k=1, weight=params.weight, bias=params.bias, weight2=params.weight2)
 
     def test_full_gradient_small_shapes(self):
         rng = np.random.default_rng(14)
@@ -401,8 +396,7 @@ class TestCrossConvolution:
         lengths = np.array([5, 3])
 
         def loss():
-            score, prob = cross_convolution(ctx, resp, params, context_length=lengths)
-            return nm.tsum(prob)
+            return nm.tsum(nm.sigmoid(cross_convolution(ctx, resp, params, context_length=lengths)))
 
         report = finite_diff_check(loss, ps, max_coords_per_param=20)
         assert report.passed, report

@@ -1,5 +1,9 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccnrank.corpus import TrainInstance
 from ccnrank.models import (
@@ -8,17 +12,14 @@ from ccnrank.models import (
     CheckpointError,
     ModelConfig,
     build_model,
-    ccn_lstm_forward,
-    dual_forward,
     forward_batch,
     load_checkpoint,
-    mfcw_forward,
     parameter_spec,
     prepare_pairs,
     save_checkpoint,
 )
 from ccnrank.numerics import ContractError, finite_diff_check, mean, mul, sub, Tensor
-from ccnrank.vocab import PAD_ID, build_vocab, encode
+from ccnrank.vocab import PAD_ID, build_vocab
 
 
 def tiny_vocab(n_high=4, n_low=3):
@@ -93,9 +94,7 @@ class TestDualForward:
         model, _ = build_model(config, vocab)
         ctx_tokens = ("hi0", "lo0", "hi1", "hi2")  # 4 tokens, L=3 keeps last 3
         resp_tokens = ("hi3", "lo1")
-        ctx = encode(ctx_tokens, vocab, 3, "context")
-        resp = encode(resp_tokens, vocab, 3, "response")
-        got = dual_forward(ctx, resp, model)
+        got = model.score_pairs([(ctx_tokens, resp_tokens)])[0]
 
         table = model.params["embedding_high"].data
         w_in = model.params["encoder.w_in"].data
@@ -107,13 +106,6 @@ class TestDualForward:
         expected = sigmoid(c @ m @ r)
         assert got == pytest.approx(expected, abs=1e-10)
 
-    def test_architecture_mismatch(self):
-        vocab = tiny_vocab()
-        model, _ = build_model(tiny_config("mfcw_lstm"), vocab)
-        enc = encode(("hi0",), vocab, 3, "context")
-        with pytest.raises(ContractError):
-            dual_forward(enc, enc, model)
-
     def test_tied_encoder_is_the_same_object(self):
         vocab = tiny_vocab()
         model, _ = build_model(tiny_config("dual_lstm"), vocab)
@@ -124,9 +116,8 @@ class TestDualForward:
     def test_forward_deterministic_bitwise(self):
         vocab = tiny_vocab()
         model, _ = build_model(tiny_config("dual_lstm"), vocab)
-        ctx = encode(("hi0", "hi1"), vocab, 3, "context")
-        resp = encode(("hi2",), vocab, 3, "response")
-        assert dual_forward(ctx, resp, model) == dual_forward(ctx, resp, model)
+        pairs = [(("hi0", "hi1"), ("hi2",))]
+        assert model.score_pairs(pairs)[0] == model.score_pairs(pairs)[0]
 
 
 class TestCcnForward:
@@ -136,9 +127,7 @@ class TestCcnForward:
         model, _ = build_model(config, vocab)
         ctx_tokens = ("hi0", "hi1", "lo0")
         resp_tokens = ("hi2", "hi0")
-        ctx = encode(ctx_tokens, vocab, 3, "context")
-        resp = encode(resp_tokens, vocab, 3, "response")
-        got = ccn_lstm_forward(ctx, resp, model)
+        got = model.score_pairs([(ctx_tokens, resp_tokens)])[0]
 
         p = model.params
         ids_c = high_ids(ctx_tokens, vocab, 5, 3, "context")
@@ -169,18 +158,20 @@ class TestCcnForward:
         for name in ("bilinear", "ccn.weight"):
             model.params[name].data[:] = 0.0
         model.params["ccn.bias"].data[:] = 0.25
-        ctx = encode(("hi0", "hi1"), vocab, 3, "context")
-        resp = encode((), vocab, 3, "response")
         # lstm branch scores 0 (r = 0), ccn branch scores its bias
         alphas = model.params["branch_weights"].data
-        assert ccn_lstm_forward(ctx, resp, model) == pytest.approx(sigmoid(alphas[1] * 0.25))
+        got = model.score_pairs([(("hi0", "hi1"), ())])[0]
+        assert got == pytest.approx(sigmoid(alphas[1] * 0.25))
 
-    def test_architecture_mismatch(self):
+    def test_parallel_head_changes_scores(self):
         vocab = tiny_vocab()
-        model, _ = build_model(tiny_config("dual_lstm"), vocab)
-        enc = encode(("hi0",), vocab, 3, "context")
-        with pytest.raises(ContractError):
-            ccn_lstm_forward(enc, enc, model)
+        single, _ = build_model(tiny_config("ccn_lstm"), vocab)
+        parallel, _ = build_model(tiny_config("ccn_lstm", ccn_head="parallel"), vocab)
+        # same seed: the shared parameters are equal, only the second head differs
+        for name in single.params.names():
+            np.testing.assert_array_equal(single.params[name].data, parallel.params[name].data)
+        pairs = [(("hi0", "hi1"), ("hi2", "hi0")), (("hi3",), ("hi1",)), (("hi2",), ())]
+        assert not np.any(single.score_pairs(pairs) == parallel.score_pairs(pairs))
 
 
 class TestMfcwForward:
@@ -190,7 +181,7 @@ class TestMfcwForward:
         # zero the pair branches so only common branches could contribute
         model.params["bilinear_high"].data[:] = 0.0
         model.params["bilinear_low"].data[:] = 0.0
-        assert mfcw_forward(("hi0", "lo0"), ("hi1", "lo1"), model) == 0.5
+        assert model.score_pairs([(("hi0", "lo0"), ("hi1", "lo1"))])[0] == 0.5
 
     def test_every_nonpad_token_lands_in_exactly_one_band(self):
         vocab = tiny_vocab()
@@ -213,11 +204,46 @@ class TestMfcwForward:
         prepared = prepare_pairs(model, [(("ghost1",), ("ghost1",))])
         assert prepared.columns["common_low"][1][0] == 1
 
-    def test_architecture_mismatch(self):
+
+def recipe_values(config, vocab_size):
+    """Initial values drawn one parameter at a time in parameter_spec order."""
+    rng = np.random.default_rng(config.seed)
+    values = {}
+    for name, shape in parameter_spec(config, vocab_size):
+        if name.startswith("embedding"):
+            values[name] = rng.uniform(-0.1, 0.1, size=shape)
+            values[name][PAD_ID] = 0.0
+        elif name == "branch_weights":
+            values[name] = np.ones(shape)
+        elif name.startswith("bilinear"):
+            values[name] = np.eye(shape[0])
+        elif name.startswith("ccn") and name.endswith(".bias"):
+            values[name] = np.zeros(shape)
+        elif name.endswith(".bias"):
+            values[name] = np.zeros(shape)
+            values[name][shape[0] // 4 : shape[0] // 2] = 1.0  # forget gate
+        else:  # LSTM weights, common-word heads, ccn dense weights
+            values[name] = rng.uniform(-0.08, 0.08, size=shape)
+    return values
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "arch,head",
+        [("dual_lstm", "sigmoid"), ("mfcw_lstm", "sigmoid"), ("ccn_lstm", "sigmoid"), ("ccn_lstm", "parallel")],
+    )
+    def test_seeded_values_bit_identical_to_recipe(self, arch, head, precision):
         vocab = tiny_vocab()
-        model, _ = build_model(tiny_config("ccn_lstm"), vocab)
-        with pytest.raises(ContractError):
-            mfcw_forward(("hi0",), ("hi0",), model)
+        config = tiny_config(arch, embedding_dim=3, hidden_size=2, max_len=4, k=2,
+                             ccn_head=head, precision=precision)
+        model, _ = build_model(config, vocab)
+        expected = recipe_values(config, vocab.size)
+        assert sorted(model.params.names()) == sorted(expected)
+        for name, value in expected.items():
+            got = model.params[name].data
+            assert got.dtype == np.dtype(precision), name
+            assert got.tobytes() == value.astype(precision).tobytes(), name
 
 
 class TestEndToEndGradients:
@@ -324,6 +350,49 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="hash"):
             load_checkpoint(path, vocab=other_vocab)
 
+    @staticmethod
+    def rewrite_header(path, edit):
+        blob = path.read_bytes()
+        (length,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + length])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length :])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["config"].update(extra_key=1),
+            lambda h: h["config"].pop("k"),
+            lambda h: h["config"].update(k=0),
+            lambda h: h.pop("config"),
+            lambda h: h["manifest"][0].pop("shape"),
+            lambda h: h["manifest"][0].update(shape=[-2, 2]),
+            lambda h: h["manifest"].append(h["manifest"][0]),
+            lambda h: h.update(manifest=7),
+            lambda h: h.update(vocab_hash=[1]),
+        ],
+        ids=["extra-config-key", "missing-config-key", "bad-config-value", "no-config",
+             "entry-without-shape", "negative-shape", "duplicate-entry", "manifest-not-a-list",
+             "hash-not-a-string"],
+    )
+    def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
+        model, vocab = self.build()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        self.rewrite_header(path, edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path, vocab=vocab)
+
+    def test_trainable_flags_of_older_files_ignored(self, tmp_path):
+        model, vocab = self.build()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        self.rewrite_header(path, lambda h: [e.update(trainable=True) for e in h["manifest"]])
+        loaded = load_checkpoint(path, vocab=vocab)
+        for name in model.params.names():
+            assert loaded.params[name].data.tobytes() == model.params[name].data.tobytes()
+
     def test_pad_row_zero_after_load(self, tmp_path):
         model, vocab = self.build("mfcw_lstm")
         path = tmp_path / "m.ckpt"
@@ -351,3 +420,40 @@ class TestParameterSpec:
             ModelConfig(architecture="dual_lstm", hidden_size=0)
         with pytest.raises(ContractError):
             ModelConfig(architecture="dual_lstm", precision="float16")
+        with pytest.raises(ContractError):
+            ModelConfig(architecture="ccn_lstm", ccn_head="linear")
+
+
+@pytest.fixture(scope="module")
+def ccn_checkpoint(tmp_path_factory):
+    """A saved ccn_lstm checkpoint's bytes, and a path to write damaged copies to."""
+    model, _ = build_model(tiny_config("ccn_lstm"), tiny_vocab())
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    save_checkpoint(model, path)
+    return path.read_bytes(), path
+
+
+class TestCheckpointFuzz:
+    """Damaged checkpoints load or raise CheckpointError, never anything else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    def test_truncated_file(self, ccn_checkpoint, fraction):
+        blob, path = ccn_checkpoint
+        path.write_bytes(blob[: int(fraction * len(blob))])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @settings(max_examples=500, deadline=None)
+    @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           value=st.integers(min_value=0, max_value=255))
+    def test_one_header_byte_overwritten(self, ccn_checkpoint, fraction, value):
+        blob, path = ccn_checkpoint
+        damaged = bytearray(blob)
+        (length,) = struct.unpack_from("<I", damaged, 8)
+        damaged[int(fraction * (12 + length))] = value  # magic, length field or JSON
+        path.write_bytes(bytes(damaged))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass

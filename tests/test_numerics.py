@@ -227,14 +227,6 @@ class TestRmsProp:
         assert expected_delta == pytest.approx(3.16226e-3, rel=1e-4)
         assert w.grad is None
 
-    def test_frozen_parameter_untouched(self):
-        ps = ParameterSet()
-        w = ps.add("w", np.array([1.0]), trainable=False)
-        w.grad = np.array([5.0])
-        RmsProp(ps).step()
-        assert float(w.data[0]) == 1.0
-        assert w.grad is None
-
     def test_accumulator_nonnegative(self):
         rng = np.random.default_rng(3)
         ps = ParameterSet()

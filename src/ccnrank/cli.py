@@ -26,7 +26,7 @@ import numpy as np
 
 from . import corpus, evaluation, models, training, vocab as vb
 from .layers import ConfigurationError, load_word_vectors
-from .numerics import ContractError, ShapeError, finite_diff_check
+from .numerics import ContractError, NonFiniteError, ShapeError, finite_diff_check
 from .training import TrainingDiverged
 
 EXIT_OK = 0
@@ -461,7 +461,7 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingDiverged as err:
+    except (TrainingDiverged, NonFiniteError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as err:

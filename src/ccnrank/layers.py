@@ -9,6 +9,10 @@ Conventions baked in here:
     scatters gradient into it, so it stays zero through training;
   * the LSTM cell uses input/forget/candidate/output gate blocks in that
     order, forget bias initialized to 1;
+  * ``lstm_encode`` is one tape op with a hand-written backward through
+    time (one input-projection matmul for all steps, then the recurrence in
+    plain numpy), not a chain of per-step ops, so its cost does not grow
+    with the tape;
   * cross-convolution pools the k largest inner products per response word
     over context positions, with padded context columns masked out so they
     can never win the pooling.
@@ -189,46 +193,97 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
 
     ``x`` is [N x L] with an int length (returns [H]) or [B x N x L] with a
     length vector (returns [B x H]).  Zero-length sequences encode to the
-    zero vector; padding beyond the true length never affects the output.
+    zero vector; padding beyond the true length never affects the output
+    and receives exactly zero gradient.  The result has ``x``'s dtype.
+
+    The whole recurrence is one tape op with a hand-written backward
+    (backpropagation through time): one matmul projects the inputs of every
+    step, the recurrence runs in plain numpy with sigmoid computed as
+    0.5 * (1 + tanh(z / 2)), and a row whose sequence has ended carries its
+    state forward unchanged.  Activations are kept only when the tape
+    records the op, so the no_grad serving path stores none.
     """
     single = x.ndim == 2
-    if single:
-        x = x.reshape(1, x.shape[0], x.shape[1])
-        lengths = np.asarray([int(true_length)])
-    else:
-        lengths = np.asarray(true_length, dtype=np.int64)
-    batch, _, max_cols = x.shape
+    data = x.data[None] if single else x.data
+    lengths = np.asarray([int(true_length)] if single else true_length, dtype=np.int64)
+    batch, n_in, max_cols = data.shape
     if lengths.shape != (batch,):
         raise ContractError(f"expected {batch} lengths, got shape {lengths.shape}")
     if lengths.max(initial=0) > max_cols:
         raise ContractError("true_length exceeds the sequence length")
+    dtype = data.dtype
     hidden = params.hidden_size
+    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))  # gate blocks
+    w_in = params.w_in.data.astype(dtype, copy=False)  # [4H x N]
+    w_rec = params.w_rec.data.astype(dtype, copy=False)  # [4H x H]
+    bias = params.bias.data.astype(dtype, copy=False)  # [4H]
+    # With the weight rows scaled by ``half`` (exact: a power of two),
+    # tanh(pre-activation) * half + shift is sigmoid(z) = 0.5 * (1 + tanh(z / 2))
+    # on the input, forget and output blocks and tanh(z) on the candidate block.
+    half = np.full(4 * hidden, 0.5, dtype=dtype)
+    half[g_] = 1.0
+    shift = np.full(4 * hidden, 0.5, dtype=dtype)
+    shift[g_] = 0.0
+    w_rec_half_t = np.ascontiguousarray((w_rec * half[:, None]).T)  # [H x 4H]
+    # full-shape copies: in-place ops on equal shapes skip numpy's broadcasting
+    half_rows, shift_rows = (np.broadcast_to(v, (batch, 4 * hidden)).copy() for v in (half, shift))
 
-    w_in_t = params.w_in.transpose_last()  # [N x 4H]
-    w_rec_t = params.w_rec.transpose_last()  # [H x 4H]
-    h = Tensor(np.zeros((batch, hidden), dtype=x.data.dtype))
-    c = Tensor(np.zeros((batch, hidden), dtype=x.data.dtype))
     steps = int(lengths.max(initial=0))
+    xs = data[:, :, :steps].transpose(2, 0, 1).reshape(steps * batch, n_in)  # step-major rows
+    gates_seq = xs @ (w_in * half[:, None]).T
+    gates_seq += bias * half
+    gates_seq = gates_seq.reshape(steps, batch, 4 * hidden)  # each step's slice becomes its gates
+    active = (lengths > np.arange(steps)[:, None])[:, :, None]  # [T x B x 1]
+    keep = nm.records((x, params.w_in, params.w_rec, params.bias))
+    if keep:  # the state entering each step, and tanh of each step's new cell
+        h_seq, c_seq, tanh_c_seq = (np.empty((steps, batch, hidden), dtype=dtype) for _ in range(3))
+    h = np.zeros((batch, hidden), dtype=dtype)
+    c = np.zeros((batch, hidden), dtype=dtype)
+    rec = np.empty((batch, 4 * hidden), dtype=dtype)
     for t in range(steps):
-        x_t = x.narrow(2, t, 1).reshape(batch, x.shape[1])
-        pre = nm.add(nm.add(nm.matmul(x_t, w_in_t), nm.matmul(h, w_rec_t)), params.bias)
-        gate_in = pre.narrow(1, 0, hidden).sigmoid()
-        gate_forget = pre.narrow(1, hidden, hidden).sigmoid()
-        candidate = pre.narrow(1, 2 * hidden, hidden).tanh()
-        gate_out = pre.narrow(1, 3 * hidden, hidden).sigmoid()
-        c_new = nm.add(nm.mul(gate_forget, c), nm.mul(gate_in, candidate))
-        h_new = nm.mul(gate_out, c_new.tanh())
-        active = lengths > t
-        if active.all():
-            c, h = c_new, h_new
-        else:
-            mask = Tensor(active.astype(x.dtype).reshape(batch, 1))
-            keep = Tensor((~active).astype(x.dtype).reshape(batch, 1))
-            c = nm.add(nm.mul(c_new, mask), nm.mul(c, keep))
-            h = nm.add(nm.mul(h_new, mask), nm.mul(h, keep))
-    if single:
-        return h.reshape(hidden)
-    return h
+        gates = gates_seq[t]
+        gates += np.matmul(h, w_rec_half_t, out=rec)
+        np.tanh(gates, out=gates)
+        gates *= half_rows
+        gates += shift_rows
+        c_new = gates[:, f_] * c + gates[:, i_] * gates[:, g_]
+        tanh_c = np.tanh(c_new)
+        if keep:
+            h_seq[t], c_seq[t], tanh_c_seq[t] = h, c, tanh_c
+        c = np.where(active[t], c_new, c)
+        h = np.where(active[t], gates[:, o_] * tanh_c, h)
+
+    def backward_fn(g):
+        d_pre = np.empty_like(gates_seq)
+        slope = np.empty((batch, 4 * hidden), dtype=dtype)
+        candidate = 1.0 - 2.0 * shift  # 1 on the tanh block, 0 on the sigmoid blocks
+        dh = g.reshape(batch, hidden)
+        dc = np.zeros_like(dh)  # stays zero on the rows of ended sequences: only h is output
+        for t in reversed(range(steps)):
+            on, gates, tanh_c = active[t], gates_seq[t], tanh_c_seq[t]
+            dh_t = np.where(on, dh, 0.0)  # an ended row passes dh straight through
+            dc_t = dc + dh_t * gates[:, o_] * (1.0 - tanh_c * tanh_c)
+            d = d_pre[t]
+            np.multiply(dc_t, gates[:, g_], out=d[:, i_])
+            np.multiply(dc_t, c_seq[t], out=d[:, f_])
+            np.multiply(dc_t, gates[:, i_], out=d[:, g_])
+            np.multiply(dh_t, tanh_c, out=d[:, o_])
+            # d gate / d pre-activation: s (1 - s) for a sigmoid, (1 - a)(1 + a) for tanh
+            d *= np.subtract(1.0, gates, out=slope)
+            d *= np.add(gates, candidate, out=slope)
+            dh = np.where(on, d @ w_rec, dh)
+            dc = dc_t * gates[:, f_]
+        d_rows = d_pre.reshape(steps * batch, 4 * hidden)
+        dx = None
+        if x.requires_grad:
+            dx = np.zeros(data.shape, dtype=dtype)
+            dx[:, :, :steps] = (d_rows @ w_in).reshape(steps, batch, n_in).transpose(1, 2, 0)
+            dx = dx.reshape(x.shape)
+        d_w_rec = d_rows.T @ h_seq.reshape(steps * batch, hidden)
+        return dx, d_rows.T @ xs, d_w_rec, d_rows.sum(axis=0)
+
+    out = h[0] if single else h
+    return nm.custom_op(out, (x, params.w_in, params.w_rec, params.bias), backward_fn)
 
 
 def bilinear_score(c: Tensor, r: Tensor, params: BilinearParams) -> Tensor:

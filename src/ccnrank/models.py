@@ -45,7 +45,7 @@ from .layers import (
     init_lstm_arrays,
     lstm_encode,
 )
-from .numerics import ContractError, ParameterSet, Tensor
+from .numerics import ContractError, NonFiniteError, ParameterSet, Tensor
 from .vocab import FrequencySplit, Vocabulary
 
 DUAL_LSTM = "dual_lstm"
@@ -189,13 +189,22 @@ class RankingModel:
     # scoring ----------------------------------------------------------------
 
     def score_pairs(self, pairs, batch_size=256) -> np.ndarray:
-        """Probabilities for (context tokens, response tokens) pairs, no tape."""
+        """Probabilities for (context tokens, response tokens) pairs, no tape.
+
+        Raises NonFiniteError when a probability is NaN (e.g. NaN weights).
+        """
         out = np.empty(len(pairs))
         with nm.no_grad():
             for start in range(0, len(pairs), batch_size):
                 chunk = pairs[start : start + batch_size]
                 prepared = prepare_pairs(self, chunk)
                 out[start : start + len(chunk)] = forward_batch(self, prepared).data
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise NonFiniteError(
+                f"{self.config.architecture}: {int((~finite).sum())} of {len(out)} pair "
+                "probabilities are not finite"
+            )
         return out
 
 

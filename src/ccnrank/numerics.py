@@ -32,6 +32,10 @@ class ContractError(ValueError):
     """An operation was called outside its stated contract."""
 
 
+class NonFiniteError(ArithmeticError):
+    """A computation produced NaN or infinite values where finite ones are required."""
+
+
 _tape_state = threading.local()  # per-thread, so one thread's no_grad leaves others taping
 
 
@@ -139,12 +143,19 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def records(parents):
+    """Whether an op over ``parents`` is recorded on the tape now: gradients
+    are enabled and at least one parent needs one.  Ops with a hand-written
+    backward ask this before keeping what their backward would need."""
+    return _grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn):
     """Wrap an op result; records the tape edge only when a parent needs it."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -472,7 +483,8 @@ class RmsProp:
 
     def step(self):
         for name, t in self.params.items():
-            g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            # the step keeps each parameter's dtype (float32 stays float32)
+            g = np.zeros_like(t.data) if t.grad is None else t.grad.astype(t.data.dtype, copy=False)
             acc = self.accumulators.get(name)
             if acc is None:
                 acc = np.zeros_like(t.data)

@@ -67,7 +67,7 @@ class EpochReport:
 def loss(p, y):
     """Squared error (p - y)^2 for one prediction; tape-aware when p is a Tensor."""
     if isinstance(p, Tensor):
-        d = nm.sub(p, Tensor(np.asarray(y, dtype=np.float64)))
+        d = nm.sub(p, Tensor(np.asarray(y, dtype=p.dtype)))
         return nm.mul(d, d)
     return (p - y) ** 2
 
@@ -95,8 +95,14 @@ def validation_metrics(model: RankingModel, validation, batch_size=256):
     return accuracy, recall1
 
 
-def _clip_gradients(params, max_norm):
+def _clip_gradients(params, max_norm, epoch, batch_index):
+    """Scale the gradients down to global norm ``max_norm``; a NaN or
+    infinite norm raises TrainingDiverged instead of reaching the step."""
     norm = params.global_grad_norm()
+    if not np.isfinite(norm):
+        raise TrainingDiverged(
+            f"non-finite gradient norm in epoch {epoch}, batch {batch_index}", epoch, batch_index
+        )
     if norm > max_norm:
         factor = max_norm / norm
         for _, t in params.items():
@@ -115,7 +121,7 @@ def train(model: RankingModel, train_instances, config: TrainConfig):
     """Fit the model; returns it holding the best-validation-epoch parameters.
 
     Also returns the per-epoch reports.  Raises TrainingDiverged if a batch
-    loss goes non-finite.
+    loss goes non-finite, or, when clipping, the gradient norm does.
     """
     if not train_instances:
         raise ContractError("train requires a non-empty train set")
@@ -152,7 +158,7 @@ def train(model: RankingModel, train_instances, config: TrainConfig):
                 )
             backward(objective)
             if config.clip_norm is not None:
-                _clip_gradients(model.params, config.clip_norm)
+                _clip_gradients(model.params, config.clip_norm, epoch, batch_index)
             optimizer.step()
             total += value * len(rows)
         accuracy, recall1 = validation_metrics(model, config.validation)

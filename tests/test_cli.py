@@ -2,8 +2,12 @@ import json
 
 import pytest
 
-from ccnrank.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+import numpy as np
+
+from ccnrank.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from ccnrank.corpus import load_eval, load_train
+from ccnrank.models import load_checkpoint, save_checkpoint
+from ccnrank.vocab import build_vocab
 
 
 @pytest.fixture(autouse=True)
@@ -144,6 +148,22 @@ class TestTrain:
         assert "pretrained_coverage\t10" in capsys.readouterr().out
 
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_gradient_under_clip_norm_is_numeric_failure(self, run_in_tmpdir, capsys):
+        # An infinite first coordinate saturates every gate, so the loss stays
+        # finite while the input weights' gradient is 0 * inf = NaN.
+        data = gen(run_in_tmpdir)
+        vectors = run_in_tmpdir / "vectors.txt"
+        words = build_vocab(load_train(data / "train.csv")).word_to_id
+        vectors.write_text("".join(f"{w} inf 0.25 0.25 0.25\n" for w in words))
+        rc, ckpt = train_tiny(
+            run_in_tmpdir, data, extra=("--embeddings", str(vectors), "--clip-norm", "1.0")
+        )
+        assert rc == EXIT_NUMERIC
+        assert "non-finite gradient norm in epoch 1, batch 0" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+
 class TestEvaluate:
     def make_model(self, tmp_path, arch="dual_lstm", out="m.ckpt"):
         data = gen(tmp_path)
@@ -206,6 +226,20 @@ class TestEvaluate:
              str(run_in_tmpdir / "other.ckpt.vocab.txt"), "--eval", str(data / "eval.csv")]
         )
         assert rc == EXIT_USAGE
+
+    def test_nan_weights_are_numeric_failure(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        rc, ckpt = train_tiny(run_in_tmpdir, data)
+        model = load_checkpoint(ckpt)
+        model.params["bilinear"].data[0, 0] = np.nan
+        save_checkpoint(model, ckpt)
+        capsys.readouterr()
+        rc = main(
+            ["evaluate", "--models", str(ckpt), "--vocab", str(run_in_tmpdir / "model.ckpt.vocab.txt"),
+             "--eval", str(data / "eval.csv")]
+        )
+        assert rc == EXIT_NUMERIC
+        assert "probabilities are not finite" in capsys.readouterr().err
 
     def test_malformed_checkpoint_header_is_usage_error(self, run_in_tmpdir):
         data = gen(run_in_tmpdir)

@@ -185,6 +185,60 @@ class TestLstmEncode:
         report = finite_diff_check(loss, ps, max_coords_per_param=16)
         assert report.passed, report
 
+    def test_ragged_batch_gradients(self):
+        # lengths 0, 1, L-1 and L in one batch: every input and weight coordinate
+        rng = np.random.default_rng(7)
+        length = 5
+        params, ps = make_lstm(3, 4, rng)
+        for name in ps.names():
+            ps[name].data = rng.uniform(-0.5, 0.5, size=ps[name].shape)
+        x = ps.add("x", rng.normal(size=(4, 3, length)))
+        lengths = np.array([0, 1, length - 1, length])
+        weights = Tensor(rng.normal(size=(4, 4)))
+
+        def loss():
+            return nm.tsum(nm.tsum(nm.mul(lstm_encode(x, lengths, params), weights), axis=1))
+
+        report = finite_diff_check(loss, ps, max_coords_per_param=60)
+        assert set(report.errors_by_parameter) == {"enc.w_in", "enc.w_rec", "enc.bias", "x"}
+        assert report.passed, report
+
+    def test_padded_columns_get_exactly_zero_gradient(self):
+        rng = np.random.default_rng(8)
+        params, ps = make_lstm(3, 4, rng)
+        x = ps.add("x", rng.normal(size=(3, 3, 6)))
+        lengths = np.array([2, 6, 0])
+        backward(nm.tsum(nm.tsum(lstm_encode(x, lengths, params), axis=1)))
+        for b, n in enumerate(lengths):
+            assert np.all(x.grad[b, :, n:] == 0.0)
+            assert np.all(x.grad[b, :, :n] != 0.0)
+        single = ps.add("single", rng.normal(size=(3, 6)))
+        backward(nm.tsum(lstm_encode(single, 4, params)))
+        assert np.all(single.grad[:, 4:] == 0.0)
+
+    def test_no_grad_output_has_no_parents(self):
+        rng = np.random.default_rng(9)
+        params, ps = make_lstm(3, 4, rng)
+        x = ps.add("x", rng.normal(size=(2, 3, 5)))
+        with nm.no_grad():
+            out = lstm_encode(x, np.array([5, 3]), params)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+        taped = lstm_encode(x, np.array([5, 3]), params)
+        assert taped._parents == (x, params.w_in, params.w_rec, params.bias)
+        np.testing.assert_array_equal(out.data, taped.data)
+
+    def test_keeps_float32(self):
+        rng = np.random.default_rng(10)
+        ps = ParameterSet()
+        arrays = init_lstm_arrays(3, 4, rng)
+        params = LstmParams(*(ps.add(n, a.astype(np.float32)) for n, a in zip("wub", arrays)))
+        x = ps.add("x", rng.normal(size=(2, 3, 5)).astype(np.float32))
+        out = lstm_encode(x, np.array([5, 2]), params)
+        assert out.dtype == np.float32
+        backward(nm.tsum(nm.tsum(out, axis=1)))
+        assert {t.grad.dtype for _, t in ps.items()} == {np.dtype(np.float32)}
+
 
 class TestScorers:
     def test_bilinear_identity(self):

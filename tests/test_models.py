@@ -18,7 +18,8 @@ from ccnrank.models import (
     prepare_pairs,
     save_checkpoint,
 )
-from ccnrank.numerics import ContractError, finite_diff_check, mean, mul, sub, Tensor
+from ccnrank.numerics import ContractError, NonFiniteError, finite_diff_check, mean, mul, sub, Tensor
+from ccnrank.training import batch_loss
 from ccnrank.vocab import PAD_ID, build_vocab
 
 
@@ -270,6 +271,36 @@ class TestEndToEndGradients:
         # on coordinates whose true gradient is ~1e-8
         report = finite_diff_check(loss, model.params, h=1e-4, max_coords_per_param=8)
         assert report.passed, (arch, report.worst_parameter, report.max_relative_error)
+
+
+def tape_nodes(output):
+    """Recorded ops (tensors with parents) reachable from ``output``."""
+    seen, stack, count = set(), [output], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += bool(node._parents)
+        stack.extend(node._parents)
+    return count
+
+
+class TestTapeSize:
+    def test_dual_lstm_training_batch_is_a_small_tape(self):
+        # each LSTM encoding is one op, whatever the sequence length
+        model, _ = build_model(tiny_config("dual_lstm", max_len=12), tiny_vocab())
+        pairs = [(("hi0", "hi1", "hi2") * 4, ("hi1", "hi3") * 3), (("hi2",), ("hi0", "hi1"))]
+        objective = batch_loss(forward_batch(model, prepare_pairs(model, pairs)), np.array([1.0, 0.0]))
+        assert tape_nodes(objective) <= 15
+
+
+class TestNonFiniteScores:
+    def test_nan_weight_raises_non_finite_error(self):
+        model, _ = build_model(tiny_config("dual_lstm"), tiny_vocab())
+        model.params["bilinear"].data[0, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            model.score_pairs([(("hi0",), ("hi1",))])
 
 
 class TestCheckpoint:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from ccnrank.corpus import generate_splits
-from ccnrank.models import ModelConfig, build_model, save_checkpoint
+from ccnrank.models import ARCHITECTURES, ModelConfig, build_model, save_checkpoint
 from ccnrank.numerics import ContractError, ParameterSet, finite_diff_check
 from ccnrank.training import (
     TrainConfig,
     TrainingDiverged,
+    _clip_gradients,
     batch_indices,
     batch_loss,
     loss,
@@ -143,11 +144,40 @@ class TestTrainLoop:
             train(model, train_set, cfg)
         assert err.value.batch_index == 0
 
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_float32_parameters_stay_float32(self, arch):
+        train_set, _, val_set = generate_splits(5, 128, 1, 8)
+        config = ModelConfig(architecture=arch, embedding_dim=4, hidden_size=4, max_len=16, seed=5,
+                             precision="float32")
+        model, _ = build_model(config, build_vocab(train_set))
+        train(model, train_set, TrainConfig(batch_size=32, max_epochs=1, seed=0, validation=val_set))
+        wrong = {name: t.dtype for name, t in model.params.items() if t.dtype != np.float32}
+        assert not wrong
+
     def test_config_validation(self):
         with pytest.raises(ContractError):
             TrainConfig(batch_size=0)
         with pytest.raises(ContractError):
             TrainConfig(learning_rate=0.0)
+
+
+class TestClipGradients:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_raises(self, bad):
+        ps = ParameterSet()
+        ps.add("w", np.ones(3)).grad = np.array([1.0, bad, 0.0])
+        with pytest.raises(TrainingDiverged) as err:
+            _clip_gradients(ps, 1.0, epoch=2, batch_index=5)
+        assert (err.value.epoch, err.value.batch_index) == (2, 5)
+
+    def test_scales_down_to_max_norm(self):
+        ps = ParameterSet()
+        w = ps.add("w", np.ones(2))
+        w.grad = np.array([3.0, 4.0])
+        _clip_gradients(ps, 1.0, epoch=1, batch_index=0)
+        np.testing.assert_allclose(w.grad, [0.6, 0.8])
+        _clip_gradients(ps, 2.0, epoch=1, batch_index=0)
+        np.testing.assert_allclose(w.grad, [0.6, 0.8])
 
 
 class TestValidationMetrics:

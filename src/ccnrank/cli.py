@@ -225,6 +225,15 @@ def cmd_train(args):
         precision=args.precision,
         ccn_head=args.ccn_head,
     )
+    train_config = training.TrainConfig(
+        batch_size=args.batch_size,
+        learning_rate=args.learning_rate,
+        max_epochs=args.epochs,
+        seed=args.seed,
+        patience=args.patience,
+        clip_norm=args.clip_norm,
+        log_path=log_path,
+    )
     write_manifest(
         args.out + ".manifest.json",
         "train",
@@ -263,16 +272,7 @@ def cmd_train(args):
 
     if os.path.exists(log_path):
         os.remove(log_path)
-    train_config = training.TrainConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        max_epochs=args.epochs,
-        seed=args.seed,
-        patience=args.patience,
-        validation=val_set,
-        clip_norm=args.clip_norm,
-        log_path=log_path,
-    )
+    train_config.validation = val_set
     _progress(f"training {args.arch} on {len(train_set)} instances ({args.epochs} epochs max)")
     model, reports = training.train(model, train_set, train_config)
     models.save_checkpoint(model, args.out)

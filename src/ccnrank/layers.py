@@ -15,7 +15,9 @@ Conventions baked in here:
     with the tape;
   * cross-convolution pools the k largest inner products per response word
     over context positions, with padded context columns masked out so they
-    can never win the pooling.
+    can never win the pooling.  The grid covers only the columns it is given
+    (``models`` trims each batch to its longest true lengths), and the pooled
+    values are zero-padded to the dense head's k*L inputs.
 """
 
 from __future__ import annotations
@@ -330,39 +332,48 @@ def kmax(values, k, n_valid=None) -> Tensor:
     return pooled.reshape(k)
 
 
-def kmax_pool(scores: Tensor, k, col_valid, row_valid=None) -> Tensor:
-    """Per-row k-max over the last axis of [B x R x C], flattened to [B, R*k].
+def kmax_pool(scores: Tensor, k, col_valid, row_valid=None, out_rows=None) -> Tensor:
+    """Per-row k-max over the last axis of [B x R x C], flattened to [B, out_rows*k].
 
-    Columns at or beyond ``col_valid[b]`` are padding and are masked out
-    before selection; rows at or beyond ``row_valid[b]`` (padded response
-    words) emit gradient-free zeros.  Gradient is routed to the selected
-    positions only, first occurrence winning ties; short rows pad with
-    gradient-free zeros.
+    Columns at or beyond ``col_valid[b]`` are padding and never win the
+    pooling; rows at or beyond ``row_valid[b]`` (padded response words) emit
+    gradient-free zeros, as do slots left over when a row has fewer than k
+    real columns.  ``out_rows`` (at least R, default R) zero-pads the result
+    to a fixed width, so a grid trimmed to a batch's real rows feeds the same
+    dense head as a full one.  What was selected follows from the masks
+    alone, so infinite and NaN values pool like any other (NaN counts as the
+    largest, as in ``np.argmax``).  Gradient is routed to the selected
+    positions only, first occurrence winning ties.
     """
     b, rows, cols = scores.shape
+    out_rows = rows if out_rows is None else out_rows
     if k > cols:
         raise ConfigurationError(f"k={k} exceeds the {cols} available positions")
-    col_valid = np.asarray(col_valid, dtype=np.int64)
-    masked = scores.data.copy()
-    col_index = np.arange(cols)
-    invalid = col_index[None, None, :] >= col_valid[:, None, None]
-    masked[np.broadcast_to(invalid, masked.shape)] = -np.inf
+    if out_rows < rows:
+        raise ShapeError(f"kmax_pool: {rows} grid rows do not fit in {out_rows} output rows")
+    col_valid = np.asarray(col_valid, dtype=np.int64)[:, None, None]
+    masked = np.where(np.arange(cols) < col_valid, scores.data, -np.inf)
+    if k == 1:
+        order = np.argmax(masked, axis=2)[:, :, None]  # first occurrence on ties
+    else:
+        key = -masked
+        key[np.isnan(key)] = -np.inf  # NaN first, as argmax takes it
+        order = np.argsort(key, axis=2, kind="stable")[:, :, :k]
+    selected = order < col_valid
     if row_valid is not None:
         row_valid = np.asarray(row_valid, dtype=np.int64)
-        dead = np.arange(rows)[None, :, None] >= row_valid[:, None, None]
-        masked[np.broadcast_to(dead, masked.shape)] = -np.inf
-    order = np.argsort(-masked, axis=2, kind="stable")[:, :, :k]
-    vals = np.take_along_axis(masked, order, axis=2)
-    selected = np.isfinite(vals)
-    data = np.where(selected, vals, 0.0).reshape(b, rows * k)
+        selected &= (np.arange(rows) < row_valid[:, None])[:, :, None]
+    vals = np.where(selected, np.take_along_axis(scores.data, order, axis=2), 0.0)
+    data = np.zeros((b, out_rows, k), dtype=vals.dtype)
+    data[:, :rows] = vals
 
     def backward_fn(g):
         grad = np.zeros_like(scores.data)
-        g_sel = np.where(selected, g.reshape(b, rows, k), 0.0)
+        g_sel = np.where(selected, g.reshape(b, out_rows, k)[:, :rows], 0.0)
         np.put_along_axis(grad, order, g_sel, axis=2)
         return (grad,)
 
-    return nm.custom_op(data, (scores,), backward_fn)
+    return nm.custom_op(data.reshape(b, out_rows * k), (scores,), backward_fn)
 
 
 def cross_convolution(
@@ -374,14 +385,18 @@ def cross_convolution(
 ):
     """All pairwise word inner products, k-max pooled per response word, densed.
 
-    Inputs are embedded sequences [N x L] (or batches [B x N x L]); entry
-    (i, j) of the inner-product grid is response word i against context
-    word j.  Padded context columns (at or beyond ``context_length``) are
-    excluded from pooling, and padded response rows (at or beyond
-    ``response_length``) pool to gradient-free zeros, so padding influences
-    neither the score nor any gradient.  Pooled values are concatenated in
-    response order and fed to the dense head.  Returns the raw score; the
-    model combines it with its other branch under one sigmoid.
+    Inputs are embedded sequences [N x Lc] and [N x Lr] (or batches
+    [B x N x Lc], [B x N x Lr]); entry (i, j) of the inner-product grid is
+    response word i against context word j.  The dense head has k*L weights
+    for L response slots; a response may be narrower than L (a batch
+    trimmed to its longest true length), and the slots beyond its columns
+    pool to zeros.  Padded context columns (at or beyond
+    ``context_length``) are excluded from pooling, and padded response rows
+    (at or beyond ``response_length``) pool to gradient-free zeros, so
+    padding influences neither the score nor any gradient.  Pooled values
+    are concatenated in response order and fed to the dense head.  Returns
+    the raw score; the model combines it with its other branch under one
+    sigmoid.
     """
     single = context_emb.ndim == 2
     if single:
@@ -391,9 +406,10 @@ def cross_convolution(
     resp_cols = response_emb.shape[2]
     if params.k > ctx_cols:
         raise ConfigurationError(f"k={params.k} exceeds the context length {ctx_cols}")
-    if params.weight.shape[0] != params.k * resp_cols:
+    kl = params.weight.shape[0]
+    if kl % params.k or resp_cols > kl // params.k:
         raise ShapeError(
-            f"dense weight has {params.weight.shape[0]} entries, needs k*L = {params.k * resp_cols}"
+            f"dense weight has {kl} entries, needs k*L with k={params.k} and L >= {resp_cols}"
         )
     if context_length is None:
         ctx_valid = np.full(b, ctx_cols, dtype=np.int64)
@@ -405,8 +421,7 @@ def cross_convolution(
         resp_valid = np.atleast_1d(np.asarray(response_length, dtype=np.int64))
 
     grid = nm.matmul(response_emb.transpose_last(), context_emb)  # [B x Lr x Lc]
-    pooled = kmax_pool(grid, params.k, ctx_valid, resp_valid)  # [B, Lr*k]
-    kl = params.k * resp_cols
+    pooled = kmax_pool(grid, params.k, ctx_valid, resp_valid, out_rows=kl // params.k)  # [B, kL]
     score = nm.add(
         nm.matmul(pooled, params.weight.reshape(kl, 1)).reshape(b), params.bias
     )

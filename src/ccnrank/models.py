@@ -278,16 +278,27 @@ def randomize_parameters(model: RankingModel, rng, scale=0.5):
 
 
 class PreparedPairs:
-    """Stacked encoded columns for a list of (context, response) pairs."""
+    """Stacked encoded columns for a list of (context, response) pairs.
 
-    def __init__(self, columns, n):
+    ``select`` cuts every id column down to the longest true length among
+    the chosen rows (never below the column's floor in ``min_cols``), so the
+    layers see no padding column that every row has.  Encoded sequences keep
+    their pads at the end, so the cut drops pads only.
+    """
+
+    def __init__(self, columns, n, min_cols=None):
         self.columns = columns  # name -> (ids [n x L], lengths [n])
         self.n = n
+        self.min_cols = min_cols or {}  # name -> fewest columns select may leave
 
-    def select(self, rows):
-        if rows is None:
-            return self.columns
-        return {k: (ids[rows], lengths[rows]) for k, (ids, lengths) in self.columns.items()}
+    def select(self, rows=None):
+        selected = {}
+        for name, (ids, lengths) in self.columns.items():
+            if rows is not None:
+                ids, lengths = ids[rows], lengths[rows]
+            width = max(int(lengths.max(initial=0)), self.min_cols.get(name, 0))
+            selected[name] = (ids[:, :width], lengths)
+        return selected
 
 
 def _stack(encoded):
@@ -316,7 +327,9 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
     else:
         columns["ctx_high"] = _stack([vb.filter_sequence(e, split, vb.HIGH) for e in ctx])
         columns["resp_high"] = _stack([vb.filter_sequence(e, split, vb.HIGH) for e in resp])
-    return PreparedPairs(columns, len(pairs))
+    # cross-convolution pools k values per response word from the context columns
+    min_cols = {"ctx_high": model.config.k} if model.config.architecture == CCN_LSTM else None
+    return PreparedPairs(columns, len(pairs), min_cols)
 
 
 def _branch_combine(weights: Tensor, scores) -> Tensor:

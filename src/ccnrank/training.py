@@ -53,6 +53,8 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ContractError("learning_rate must be > 0")
+        if self.clip_norm is not None and not self.clip_norm > 0:  # NaN fails too
+            raise ContractError("clip_norm must be > 0")
 
 
 @dataclass

@@ -163,6 +163,15 @@ class TestTrain:
         assert "non-finite gradient norm in epoch 1, batch 0" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("bound", ["0", "-1", "nan"])
+    def test_clip_norm_must_be_positive(self, run_in_tmpdir, bound, capsys):
+        data = gen(run_in_tmpdir)
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--clip-norm", bound))
+        assert rc == EXIT_USAGE
+        assert "clip_norm must be > 0" in capsys.readouterr().err
+        # rejected before anything is written
+        assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
+
 
 class TestEvaluate:
     def make_model(self, tmp_path, arch="dual_lstm", out="m.ckpt"):
@@ -232,6 +241,21 @@ class TestEvaluate:
         rc, ckpt = train_tiny(run_in_tmpdir, data)
         model = load_checkpoint(ckpt)
         model.params["bilinear"].data[0, 0] = np.nan
+        save_checkpoint(model, ckpt)
+        capsys.readouterr()
+        rc = main(
+            ["evaluate", "--models", str(ckpt), "--vocab", str(run_in_tmpdir / "model.ckpt.vocab.txt"),
+             "--eval", str(data / "eval.csv")]
+        )
+        assert rc == EXIT_NUMERIC
+        assert "probabilities are not finite" in capsys.readouterr().err
+
+    def test_nan_cross_convolution_embedding_is_numeric_failure(self, run_in_tmpdir, capsys):
+        # NaN grid entries win the k-max pooling instead of pooling to zero
+        data = gen(run_in_tmpdir)
+        rc, ckpt = train_tiny(run_in_tmpdir, data, arch="ccn_lstm")
+        model = load_checkpoint(ckpt)
+        model.params["embedding_ccn"].data[1:] = np.nan
         save_checkpoint(model, ckpt)
         capsys.readouterr()
         rc = main(

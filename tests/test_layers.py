@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccnrank import numerics as nm
 from ccnrank.layers import (
@@ -17,6 +18,7 @@ from ccnrank.layers import (
     init_embedding_matrix,
     init_lstm_arrays,
     kmax,
+    kmax_pool,
     load_word_vectors,
     lstm_encode,
 )
@@ -356,6 +358,71 @@ class TestKmax:
             assert set(np.unique(t.grad)) <= {0.0, 1.0}
 
 
+def kmax_pool_oracle(grid, k, col_valid, row_valid, out_rows, upstream):
+    """Pooled [B, out_rows*k] and the gradient of sum(pooled * upstream), by
+    a stable descending sort of each real row's real columns."""
+    b, rows, _ = grid.shape
+    pooled = np.zeros((b, out_rows, k))
+    grad = np.zeros_like(grid)
+    g = upstream.reshape(b, out_rows, k)
+    for i in range(b):
+        for r in range(min(rows, row_valid[i])):
+            winners = sorted(range(col_valid[i]), key=lambda j: -grid[i, r, j])[:k]
+            for slot, j in enumerate(winners):
+                pooled[i, r, slot] = grid[i, r, j]
+                grad[i, r, j] = g[i, r, slot]
+    return pooled.reshape(b, out_rows * k), grad
+
+
+@st.composite
+def pooling_cases(draw):
+    b, rows, k = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    cols = draw(st.integers(k, 6))
+    # few distinct values, so rows hold ties
+    values = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+                           min_size=b * rows * cols, max_size=b * rows * cols))
+    col_valid = draw(st.lists(st.integers(0, cols), min_size=b, max_size=b))
+    row_valid = draw(st.lists(st.integers(0, rows), min_size=b, max_size=b))
+    out_rows = rows + draw(st.integers(0, 3))
+    return np.array(values).reshape(b, rows, cols), k, col_valid, row_valid, out_rows
+
+
+class TestKmaxPool:
+    @settings(max_examples=300, deadline=None)
+    @given(case=pooling_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_stable_sort_oracle(self, case, seed):
+        grid, k, col_valid, row_valid, out_rows = case
+        upstream = np.random.default_rng(seed).normal(size=(grid.shape[0], out_rows * k))
+        want, want_grad = kmax_pool_oracle(grid, k, col_valid, row_valid, out_rows, upstream)
+        t = Tensor(grid, requires_grad=True)
+        got = kmax_pool(t, k, col_valid, row_valid, out_rows=out_rows)
+        backward(nm.tsum(nm.mul(got, Tensor(upstream))))
+        np.testing.assert_array_equal(got.data, want)  # the zero tail included
+        np.testing.assert_array_equal(t.grad, want_grad)  # selected positions, ties to the first
+
+    def test_infinite_winner_pools_and_gets_gradient(self):
+        t = Tensor(np.array([[[1.0, np.inf, 3.0]]]), requires_grad=True)
+        out = kmax_pool(t, 1, [3])
+        np.testing.assert_array_equal(out.data, [[np.inf]])
+        backward(nm.tsum(out))
+        np.testing.assert_array_equal(t.grad, [[[0.0, 1.0, 0.0]]])
+        low = Tensor(np.array([[[-np.inf, 2.0, 5.0]]]), requires_grad=True)
+        out = kmax_pool(low, 3, [2])  # a real -inf still beats the padded column
+        np.testing.assert_array_equal(out.data, [[2.0, -np.inf, 0.0]])
+        backward(nm.tsum(out))
+        np.testing.assert_array_equal(low.grad, [[[1.0, 1.0, 0.0]]])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_nan_is_pooled_not_dropped(self, k):
+        out = kmax_pool(Tensor(np.array([[[1.0, np.nan, 3.0]]])), k, [3])
+        assert np.isnan(out.data[0, 0])
+        assert out.data[0, 1:].tolist() == [3.0][: k - 1]
+
+    def test_output_rows_cannot_drop_grid_rows(self):
+        with pytest.raises(ShapeError):
+            kmax_pool(Tensor(np.zeros((1, 3, 2))), 1, [2], out_rows=2)
+
+
 def ccn_params(ps, k, resp_len, weight=None, bias=0.0):
     w = np.zeros(k * resp_len) if weight is None else np.asarray(weight, dtype=np.float64)
     return CcnParams(
@@ -436,6 +503,45 @@ class TestCrossConvolution:
         assert score.item() == pytest.approx(0.75)
         with pytest.raises(ConfigurationError):
             CcnParams(k=1, weight=params.weight, bias=params.bias, weight2=params.weight2)
+
+    def test_response_wider_than_the_head_rejected(self):
+        ps = ParameterSet()
+        params = ccn_params(ps, 2, 2, weight=np.zeros(4))
+        with pytest.raises(ShapeError):
+            cross_convolution(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), params)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_trimmed_inputs_match_inputs_padded_to_the_head(self, k, batched):
+        # trimmed: the longest true lengths (context 4, response 3); padded: L = 6 columns each
+        rng = np.random.default_rng(15)
+        length = 6
+        ctx_len, resp_len = np.array([4, 2, 3]), np.array([3, 0, 1])
+        ctx = rng.normal(size=(3, 5, length))
+        resp = rng.normal(size=(3, 5, length))
+        for i in range(3):
+            ctx[i, :, ctx_len[i]:] = 0.0
+            resp[i, :, resp_len[i]:] = 0.0
+        if not batched:
+            ctx, resp, ctx_len, resp_len = ctx[0], resp[0], ctx_len[0], resp_len[0]
+        weight = rng.normal(size=k * length)
+        results = []
+        for ctx_cols, resp_cols in ((4, 3), (length, length)):
+            ps = ParameterSet()
+            params = ccn_params(ps, k, length, weight=weight, bias=0.3)
+            c = ps.add("ctx", ctx[..., :ctx_cols].copy())
+            r = ps.add("resp", resp[..., :resp_cols].copy())
+            score = cross_convolution(c, r, params, context_length=ctx_len, response_length=resp_len)
+            backward(nm.tsum(nm.sigmoid(score)))
+            results.append((score.data, c.grad, r.grad, params.weight.grad, params.bias.grad))
+        (s_t, dc_t, dr_t, dw_t, db_t), (s_p, dc_p, dr_p, dw_p, db_p) = results
+        np.testing.assert_array_equal(s_t, s_p)
+        np.testing.assert_array_equal(dw_t, dw_p)  # d weight = pooled values: the same, tail included
+        assert not dw_t[3 * k :].any()  # slots beyond the trimmed response pooled exact zeros
+        np.testing.assert_array_equal(db_t, db_p)
+        np.testing.assert_allclose(dc_t, dc_p[..., :4], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(dr_t, dr_p[..., :3], rtol=1e-13, atol=0)
+        assert not dc_p[..., 4:].any() and not dr_p[..., 3:].any()
 
     def test_full_gradient_small_shapes(self):
         rng = np.random.default_rng(14)

@@ -11,6 +11,7 @@ from ccnrank.models import (
     ARCHITECTURES,
     CheckpointError,
     ModelConfig,
+    PreparedPairs,
     build_model,
     forward_batch,
     load_checkpoint,
@@ -18,7 +19,7 @@ from ccnrank.models import (
     prepare_pairs,
     save_checkpoint,
 )
-from ccnrank.numerics import ContractError, NonFiniteError, finite_diff_check, mean, mul, sub, Tensor
+from ccnrank.numerics import ContractError, NonFiniteError, backward, finite_diff_check, mean, mul, sub, Tensor
 from ccnrank.training import batch_loss
 from ccnrank.vocab import PAD_ID, build_vocab
 
@@ -273,6 +274,85 @@ class TestEndToEndGradients:
         assert report.passed, (arch, report.worst_parameter, report.max_relative_error)
 
 
+    def test_ccn_ragged_lengths_after_the_trim(self):
+        # context lengths 0, 1, 3, 4 and response lengths 2, 0, 1, 3 under max_len 8:
+        # the batch is cut to 4 context and 3 response columns
+        model, _ = build_model(tiny_config("ccn_lstm", max_len=8, k=2), tiny_vocab())
+        randomize_parameters(model, np.random.default_rng(1))
+        pairs = [
+            (("lo0",), ("hi1", "lo0", "hi2")),
+            (("hi2", "lo1"), ("lo2",)),
+            (("hi0", "hi1", "lo0", "hi3"), ("hi0",)),
+            (("hi3", "hi2", "hi1", "hi0"), ("hi1", "hi2", "hi3")),
+        ]
+        prepared = prepare_pairs(model, pairs)
+        assert [ids.shape[1] for ids, _ in prepared.select().values()] == [4, 3]
+        labels = Tensor(np.array([1.0, 0.0, 1.0, 0.0]))
+
+        def loss():
+            d = sub(forward_batch(model, prepared), labels)
+            return mean(mul(d, d))
+
+        report = finite_diff_check(loss, model.params, h=1e-4, max_coords_per_param=8)
+        assert report.passed, (report.worst_parameter, report.max_relative_error)
+
+
+def full_width(prepared, max_len):
+    """The same rows with every column left at max_len (no trim)."""
+    return PreparedPairs(prepared.columns, prepared.n, {name: max_len for name in prepared.columns})
+
+
+class TestBatchTrim:
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_select_cuts_columns_to_the_longest_true_length(self, arch):
+        model, _ = build_model(tiny_config(arch, max_len=6, k=3), tiny_vocab())
+        pairs = [(("hi0", "lo0"), ("hi1", "hi2", "lo1")), (("hi1",), ()), (("lo0", "hi2", "lo1"), ("hi3",))]
+        prepared = prepare_pairs(model, pairs)
+        for rows in (None, [1], np.array([2, 0])):
+            for name, (ids, lengths) in prepared.select(rows).items():
+                floor = 3 if (arch == "ccn_lstm" and name == "ctx_high") else 0
+                assert ids.shape == (len(lengths), max(lengths.max(initial=0), floor)), (name, rows)
+                full_ids, full_lengths = prepared.columns[name]
+                picked = slice(None) if rows is None else rows
+                np.testing.assert_array_equal(lengths, full_lengths[picked])
+                np.testing.assert_array_equal(ids, full_ids[picked][:, : ids.shape[1]])
+                assert not full_ids[picked][:, ids.shape[1] :].any()  # only pads were cut
+
+    @pytest.mark.parametrize(
+        "arch,k,pairs",
+        [
+            pytest.param(arch, 1, [(("hi0", "lo0", "hi1"), ("hi1", "lo0")), (("hi2",), ("hi2", "hi3", "lo1"))],
+                         id=f"{arch}-ragged")
+            for arch in ARCHITECTURES
+        ]
+        + [
+            pytest.param("ccn_lstm", 2, [(("hi0", "lo0"), ("hi1", "hi2")), (("lo1",), ("hi3",)), ((), ("hi0",))],
+                         id="ccn_lstm-every-context-shorter-than-k"),
+            pytest.param("ccn_lstm", 2, [(("hi0", "hi1", "hi2"), ("lo0",)), (("hi3",), ())],
+                         id="ccn_lstm-every-response-empty"),
+            pytest.param("dual_lstm", 1, [(("hi0", "hi1", "hi2"), ("lo0",)), (("hi3",), ())],
+                         id="dual_lstm-every-response-empty"),
+            pytest.param("ccn_lstm", 3, [(("hi0", "hi1", "hi2", "hi3"), ("hi0", "hi3")), (("hi1",), ("lo2", "hi2"))],
+                         id="ccn_lstm-k3"),
+        ],
+    )
+    def test_trimmed_batch_scores_as_the_full_width_batch(self, arch, k, pairs):
+        model, _ = build_model(tiny_config(arch, max_len=6, k=k, hidden_size=3), tiny_vocab())
+        randomize_parameters(model, np.random.default_rng(2))
+        labels = np.arange(len(pairs)) % 2.0
+        prepared = prepare_pairs(model, pairs)
+        results = []
+        for batch in (prepared, full_width(prepared, 6)):
+            model.params.zero_gradients()
+            p = forward_batch(model, batch)
+            backward(batch_loss(p, labels))
+            results.append((p.data, {name: t.grad.copy() for name, t in model.params.items()}))
+        (p_trim, g_trim), (p_full, g_full) = results
+        np.testing.assert_array_equal(p_trim, p_full)
+        for name, grad in g_full.items():
+            np.testing.assert_allclose(g_trim[name], grad, rtol=1e-13, atol=1e-300, err_msg=name)
+
+
 def tape_nodes(output):
     """Recorded ops (tensors with parents) reachable from ``output``."""
     seen, stack, count = set(), [output], 0
@@ -301,6 +381,15 @@ class TestNonFiniteScores:
         model.params["bilinear"].data[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             model.score_pairs([(("hi0",), ("hi1",))])
+
+
+    def test_nan_cross_convolution_embedding_raises_non_finite_error(self):
+        # NaN grid entries win the k-max pooling for every k instead of pooling to zero
+        for k in (1, 2):
+            model, _ = build_model(tiny_config("ccn_lstm", k=k), tiny_vocab())
+            model.params["embedding_ccn"].data[1:] = np.nan
+            with pytest.raises(NonFiniteError):
+                model.score_pairs([(("hi0", "hi1"), ("hi2",))])
 
 
 class TestCheckpoint:

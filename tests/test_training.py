@@ -160,6 +160,13 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_clip_norm_must_be_positive(self, bad):
+        # a negative bound flips every gradient's sign: RMSProp would ascend the loss
+        with pytest.raises(ContractError, match="clip_norm"):
+            TrainConfig(clip_norm=bad)
+        assert TrainConfig(clip_norm=0.5).clip_norm == 0.5
+
 
 class TestClipGradients:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

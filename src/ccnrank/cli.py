@@ -89,7 +89,10 @@ def _merge_config_file(args, spec):
         raise corpus.ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
     for key, (attr, cast) in spec.items():
         if key in values and getattr(args, attr) is None:
-            setattr(args, attr, cast(values[key]))
+            try:
+                setattr(args, attr, cast(values[key]))
+            except ValueError:
+                raise corpus.ConfigError(f"{args.config}: bad {key} value {values[key]!r}") from None
 
 
 def _default(args, attr, value):

@@ -182,9 +182,6 @@ class SyntheticConfig:
             raise ConfigError("context_turns must be >= 1")
 
 
-SYNTHETIC_CONFIG_KEYS = ("topics", "keywords_per_topic", "filler_vocab_size", "context_turns", "seed")
-
-
 def parse_config_file(path) -> dict:
     """Parse a ``key = value`` text file (one pair per line, # comments)."""
     values = {}

@@ -2,7 +2,9 @@
 
 All operations accept a single instance (rank-2 inputs, e.g. an embedded
 sequence of shape [dim, length]) or a batch (one extra leading axis) and run
-on the numerics tape, so gradients flow to every parameter they touch.
+on the numerics tape, so gradients flow to every parameter they touch.  The
+module depends on ``numerics`` alone: lookups take plain id arrays, which
+``models.prepare_pairs`` builds.
 
 Conventions baked in here:
   * embedding row 0 is the padding vector: all-zero, and the lookup never
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import ContractError, ShapeError, Tensor
-from .vocab import EncodedSequence
+
 
 class ConfigurationError(ValueError):
     """A layer was configured with unusable sizes."""
@@ -156,12 +158,6 @@ def apply_pretrained(matrix: np.ndarray, vocab, vectors: dict) -> int:
 # -- operations ---------------------------------------------------------------
 
 
-def _ids_array(ids):
-    if isinstance(ids, EncodedSequence):
-        return ids.ids
-    return np.asarray(ids, dtype=np.int64)
-
-
 def embed_lookup(ids, table: EmbeddingTable) -> Tensor:
     """Columns of the result are the embeddings of the ids, pads map to zero.
 
@@ -169,7 +165,7 @@ def embed_lookup(ids, table: EmbeddingTable) -> Tensor:
     (returns [B x N x L]).  Backward scatters into the looked-up rows only,
     never into the padding row.
     """
-    arr = _ids_array(ids)
+    arr = np.asarray(ids, dtype=np.int64)
     if arr.min(initial=0) < 0 or arr.max(initial=0) >= table.vocab_size:
         raise ContractError(
             f"token id out of range [0, {table.vocab_size}) in lookup: "

@@ -193,12 +193,12 @@ class RankingModel:
 
         Raises NonFiniteError when a probability is NaN (e.g. NaN weights).
         """
+        prepared = prepare_pairs(self, pairs)
         out = np.empty(len(pairs))
         with nm.no_grad():
             for start in range(0, len(pairs), batch_size):
-                chunk = pairs[start : start + batch_size]
-                prepared = prepare_pairs(self, chunk)
-                out[start : start + len(chunk)] = forward_batch(self, prepared).data
+                rows = slice(start, start + batch_size)
+                out[rows] = forward_batch(self, prepared, rows).data
         finite = np.isfinite(out)
         if not finite.all():
             raise NonFiniteError(
@@ -278,18 +278,19 @@ def randomize_parameters(model: RankingModel, rng, scale=0.5):
 
 
 class PreparedPairs:
-    """Stacked encoded columns for a list of (context, response) pairs.
+    """Stacked band-filtered id columns for a list of (context, response) pairs.
 
     ``select`` cuts every id column down to the longest true length among
     the chosen rows (never below the column's floor in ``min_cols``), so the
-    layers see no padding column that every row has.  Encoded sequences keep
-    their pads at the end, so the cut drops pads only.
+    layers see no padding column that every row has.  Filtered rows keep
+    their pads at the end, so the cut drops pads only.  The columns are
+    stored already cut for all the rows.
     """
 
-    def __init__(self, columns, n, min_cols=None):
-        self.columns = columns  # name -> (ids [n x L], lengths [n])
-        self.n = n
+    def __init__(self, columns, min_cols=None):
+        self.columns = columns  # name -> (ids [n x W], lengths [n]), W <= max_len
         self.min_cols = min_cols or {}  # name -> fewest columns select may leave
+        self.columns = {name: (ids.copy(), lengths) for name, (ids, lengths) in self.select().items()}
 
     def select(self, rows=None):
         selected = {}
@@ -301,35 +302,28 @@ class PreparedPairs:
         return selected
 
 
-def _stack(encoded):
-    ids = np.stack([e.ids for e in encoded])
-    lengths = np.array([e.true_length for e in encoded], dtype=np.int64)
-    return ids, lengths
-
-
 def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
     """Encode token pairs into the per-band id columns the architecture needs."""
     if model.vocab is None:
         raise ContractError("model has no vocabulary attached")
-    length = model.config.max_len
-    vocab, split = model.vocab, model.split
-    ctx = [vb.encode(c, vocab, length, vb.CONTEXT) for c, _ in pairs]
-    resp = [vb.encode(r, vocab, length, vb.RESPONSE) for _, r in pairs]
-    columns = {}
+    length, vocab = model.config.max_len, model.vocab
+    sides = {
+        "ctx": [vb.encode(c, vocab, length, vb.CONTEXT).ids for c, _ in pairs],
+        "resp": [vb.encode(r, vocab, length, vb.RESPONSE).ids for _, r in pairs],
+    }
+    bands = (vb.HIGH,)
     if model.config.architecture == MFCW_LSTM:
-        common = [
-            vb.encode(vb.common_words(c, r), vocab, length, vb.RESPONSE) for c, r in pairs
-        ]
-        for band in (vb.HIGH, vb.LOW):
-            columns[f"ctx_{band}"] = _stack([vb.filter_sequence(e, split, band) for e in ctx])
-            columns[f"resp_{band}"] = _stack([vb.filter_sequence(e, split, band) for e in resp])
-            columns[f"common_{band}"] = _stack([vb.filter_sequence(e, split, band) for e in common])
-    else:
-        columns["ctx_high"] = _stack([vb.filter_sequence(e, split, vb.HIGH) for e in ctx])
-        columns["resp_high"] = _stack([vb.filter_sequence(e, split, vb.HIGH) for e in resp])
+        commons = [vb.common_words(c, r) for c, r in pairs]
+        sides["common"] = [vb.encode(t, vocab, length, vb.RESPONSE).ids for t in commons]
+        bands = (vb.HIGH, vb.LOW)
+    columns = {}
+    for side, encoded in sides.items():
+        ids = np.array(encoded, dtype=np.int64).reshape(len(pairs), length)
+        for band in bands:
+            columns[f"{side}_{band}"] = vb.filter_rows(ids, model.split, band)
     # cross-convolution pools k values per response word from the context columns
     min_cols = {"ctx_high": model.config.k} if model.config.architecture == CCN_LSTM else None
-    return PreparedPairs(columns, len(pairs), min_cols)
+    return PreparedPairs(columns, min_cols)
 
 
 def _branch_combine(weights: Tensor, scores) -> Tensor:

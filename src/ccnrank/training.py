@@ -49,8 +49,9 @@ class TrainConfig:
     log_path: str | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ContractError("learning_rate must be > 0")
         if self.clip_norm is not None and not self.clip_norm > 0:  # NaN fails too

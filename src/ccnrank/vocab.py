@@ -5,6 +5,7 @@ tokens; real words get dense ids from 2 upward (descending train-set count,
 ties broken lexicographically).  ``FrequencySplit`` partitions real words
 into a high band (count > threshold) and a low band (count <= threshold);
 out-of-vocabulary tokens are treated as low-band, being by definition rare.
+Its boolean id->high table lets ``filter_rows`` band-filter [n x L] id matrices.
 
 The CWF score of a (context, response) pair is the sum of 1/n_w over the
 common word types, where n_w is the word's occurrence count in the train
@@ -97,23 +98,22 @@ class FrequencySplit:
     threshold: int
     high: frozenset
     low: frozenset
+    is_high: np.ndarray  # bool per id in the vocabulary's id space; pad and oov are False
 
     def band_of(self, token_id) -> str | None:
         """Band of an id; pad has none, oov counts as low."""
         if token_id == PAD_ID:
             return None
-        if token_id == OOV_ID:
-            return LOW
-        return HIGH if token_id in self.high else LOW
+        return HIGH if self.is_high[token_id] else LOW
 
 
 def split_by_frequency(vocab: Vocabulary, threshold=DEFAULT_FREQUENCY_THRESHOLD) -> FrequencySplit:
     if threshold < 0:
         raise ContractError("threshold must be >= 0")
-    high, low = [], []
-    for word, token_id in vocab.word_to_id.items():
-        (high if vocab.counts[word] > threshold else low).append(token_id)
-    return FrequencySplit(threshold=threshold, high=frozenset(high), low=frozenset(low))
+    # pad (id 0) and oov (id 1) are never high; words_by_id[i] has id i + 2
+    is_high = np.array([False, False] + [vocab.counts[w] > threshold for w in vocab.words_by_id])
+    high, low = np.flatnonzero(is_high), np.flatnonzero(~is_high)[2:]
+    return FrequencySplit(threshold, frozenset(high.tolist()), frozenset(low.tolist()), is_high)
 
 
 @dataclass(eq=False)
@@ -137,21 +137,29 @@ def encode(tokens, vocab: Vocabulary, length=DEFAULT_MAX_LEN, side=CONTEXT) -> E
         raise ContractError("encode requires length >= 1")
     if side not in (CONTEXT, RESPONSE):
         raise ContractError(f"side must be {CONTEXT!r} or {RESPONSE!r}, got {side!r}")
-    kept = list(tokens[-length:] if side == CONTEXT else tokens[:length])
+    kept = tokens[-length:] if side == CONTEXT else tokens[:length]
     ids = np.full(length, PAD_ID, dtype=np.int64)
-    for i, token in enumerate(kept):
-        ids[i] = vocab.lookup(token)
+    ids[: len(kept)] = [vocab.lookup(token) for token in kept]
     return EncodedSequence(ids=ids, true_length=len(kept))
+
+
+def filter_rows(ids, split: FrequencySplit, band: str):
+    """Keep the ids of ``band`` in each row of an [n x L] integer array, moved to
+    the front in their original order and re-padded; returns (ids, [n] kept counts)."""
+    if band not in (HIGH, LOW):
+        raise ContractError(f"band must be {HIGH!r} or {LOW!r}, got {band!r}")
+    if ids.min(initial=0) < 0 or ids.max(initial=0) >= len(split.is_high):
+        raise ContractError(f"token id out of range [0, {len(split.is_high)}) in band filter")
+    high = split.is_high[ids]
+    keep = high if band == HIGH else ~high & (ids != PAD_ID)
+    order = np.argsort(~keep, axis=1, kind="stable")  # kept ids first, in order
+    return np.take_along_axis(np.where(keep, ids, PAD_ID), order, axis=1), keep.sum(axis=1)
 
 
 def filter_sequence(seq: EncodedSequence, split: FrequencySplit, band: str) -> EncodedSequence:
     """Keep only ids of the requested band, compacted and re-padded to the same length."""
-    if band not in (HIGH, LOW):
-        raise ContractError(f"band must be {HIGH!r} or {LOW!r}, got {band!r}")
-    kept = [i for i in seq.ids[: seq.true_length] if split.band_of(int(i)) == band]
-    ids = np.full(len(seq.ids), PAD_ID, dtype=np.int64)
-    ids[: len(kept)] = kept
-    return EncodedSequence(ids=ids, true_length=len(kept))
+    ids, lengths = filter_rows(seq.ids[None, :], split, band)
+    return EncodedSequence(ids=ids[0], true_length=int(lengths[0]))
 
 
 def common_words(context, response) -> tuple:

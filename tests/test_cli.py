@@ -98,6 +98,18 @@ class TestGenSynthetic:
         )
         assert rc == EXIT_USAGE
 
+    def test_non_numeric_config_value_is_usage_error(self, run_in_tmpdir, capsys):
+        cfg = run_in_tmpdir / "syn.cfg"
+        cfg.write_text("topics = x\n")
+        rc = main(
+            ["gen-synthetic", "--train", "10", "--eval", "2",
+             "--out", str(run_in_tmpdir / "x"), "--config", str(cfg)]
+        )
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "topics" in err
+        assert not (run_in_tmpdir / "x").exists()
+
 
 class TestPrepareVocab:
     def test_writes_vocab_and_manifest(self, run_in_tmpdir, capsys):
@@ -170,6 +182,25 @@ class TestTrain:
         assert rc == EXIT_USAGE
         assert "clip_norm must be > 0" in capsys.readouterr().err
         # rejected before anything is written
+        assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
+
+    @pytest.mark.parametrize("flag,field", [("--epochs", "max_epochs"), ("--patience", "patience")])
+    def test_epochs_and_patience_must_be_positive(self, run_in_tmpdir, flag, field, capsys):
+        data = gen(run_in_tmpdir)
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=(flag, "0"))
+        assert rc == EXIT_USAGE
+        assert f"{field} must be >= 1" in capsys.readouterr().err
+        assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
+        assert not (run_in_tmpdir / "model.ckpt.vocab.txt").exists()
+
+    def test_non_numeric_config_value_is_usage_error(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text("learning_rate = fast\n")
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--config", str(cfg)))
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "learning_rate" in err
         assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
 
 

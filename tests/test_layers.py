@@ -23,7 +23,6 @@ from ccnrank.layers import (
     lstm_encode,
 )
 from ccnrank.numerics import ContractError, ParameterSet, ShapeError, Tensor, backward, finite_diff_check
-from ccnrank.vocab import EncodedSequence
 
 
 def table_from(array, ps=None, name="emb"):
@@ -44,12 +43,6 @@ class TestEmbedLookup:
         np.testing.assert_array_equal(out.data[:, 0], table.matrix.data[2])
         np.testing.assert_array_equal(out.data[:, 1], table.matrix.data[3])
         np.testing.assert_array_equal(out.data[:, 2:], np.zeros((3, 2)))
-
-    def test_accepts_encoded_sequence(self):
-        table, _ = table_from(np.arange(8.0).reshape(4, 2))
-        enc = EncodedSequence(ids=np.array([1, 2, 0]), true_length=2)
-        out = embed_lookup(enc, table)
-        assert out.shape == (2, 3)
 
     def test_out_of_range_id(self):
         table, _ = table_from(np.zeros((4, 2)))

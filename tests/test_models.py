@@ -19,9 +19,11 @@ from ccnrank.models import (
     prepare_pairs,
     save_checkpoint,
 )
-from ccnrank.numerics import ContractError, NonFiniteError, backward, finite_diff_check, mean, mul, sub, Tensor
+from ccnrank.numerics import (
+    ContractError, NonFiniteError, Tensor, backward, finite_diff_check, mean, mul, no_grad, sub,
+)
 from ccnrank.training import batch_loss
-from ccnrank.vocab import PAD_ID, build_vocab
+from ccnrank.vocab import CONTEXT, PAD_ID, RESPONSE, build_vocab, common_words, encode, filter_sequence
 
 
 def tiny_vocab(n_high=4, n_low=3):
@@ -207,6 +209,72 @@ class TestMfcwForward:
         assert prepared.columns["common_low"][1][0] == 1
 
 
+class TestPreparePairs:
+    # empty sides, an unknown word ("ghost" maps to the oov id) and sequences
+    # longer than max_len 4 on both sides
+    PAIRS = [
+        ((), ()),
+        (("hi0", "lo0", "ghost"), ()),
+        ((), ("hi1", "ghost", "lo1")),
+        (("hi0", "hi1", "lo0", "hi2", "lo1", "hi3", "ghost"), ("hi3", "lo0", "hi0", "hi1", "lo2", "hi2")),
+        (("ghost", "hi2", "ghost", "lo2"), ("ghost", "lo2", "hi2")),
+    ]
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_columns_equal_pairwise_encode_and_filter(self, arch):
+        vocab = tiny_vocab()
+        model, _ = build_model(tiny_config(arch, max_len=4, k=2), vocab)
+        encoders = {
+            "ctx": lambda c, r: encode(c, vocab, 4, CONTEXT),
+            "resp": lambda c, r: encode(r, vocab, 4, RESPONSE),
+            "common": lambda c, r: encode(common_words(c, r), vocab, 4, RESPONSE),
+        }
+        expected = {"ctx_high", "resp_high"}
+        if arch == "mfcw_lstm":
+            expected |= {"common_high", "ctx_low", "resp_low", "common_low"}
+        prepared = prepare_pairs(model, self.PAIRS)
+        assert set(prepared.columns) == expected
+        for name, (ids, lengths) in prepared.columns.items():
+            side, band = name.split("_")
+            # stored cut to the widest row, never below ccn_lstm's k context columns
+            floor = 2 if (arch == "ccn_lstm" and name == "ctx_high") else 0
+            width = max(lengths.max(), floor)
+            assert ids.shape == (len(self.PAIRS), width) and ids.dtype == np.int64, name
+            for row, (c, r) in enumerate(self.PAIRS):
+                ref = filter_sequence(encoders[side](c, r), model.split, band)
+                np.testing.assert_array_equal(ids[row], ref.ids[:width], err_msg=f"{name} row {row}")
+                assert not ref.ids[width:].any(), (name, row)
+                assert lengths[row] == ref.true_length, (name, row)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_no_pairs(self, arch):
+        model, _ = build_model(tiny_config(arch, max_len=4), tiny_vocab())
+        for ids, lengths in prepare_pairs(model, []).columns.values():
+            assert ids.shape[0] == 0 and lengths.shape == (0,)
+        assert model.score_pairs([]).shape == (0,)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_score_pairs_equals_per_chunk_forward(self, arch):
+        vocab = tiny_vocab()
+        model, _ = build_model(tiny_config(arch, max_len=6, k=2), vocab)
+        randomize_parameters(model, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        words = list(vocab.word_to_id) + ["ghost"]
+        pairs = [
+            tuple(tuple(words[i] for i in rng.integers(0, len(words), size=rng.integers(0, 9)))
+                  for _ in range(2))
+            for _ in range(30)
+        ]
+        for batch_size in (1, 7, 256):
+            with no_grad():
+                expected = np.concatenate([
+                    forward_batch(model, prepare_pairs(model, pairs[s : s + batch_size])).data
+                    for s in range(0, len(pairs), batch_size)
+                ])
+            got = model.score_pairs(pairs, batch_size=batch_size)
+            assert got.tobytes() == expected.tobytes(), batch_size
+
+
 def recipe_values(config, vocab_size):
     """Initial values drawn one parameter at a time in parameter_spec order."""
     rng = np.random.default_rng(config.seed)
@@ -298,8 +366,12 @@ class TestEndToEndGradients:
 
 
 def full_width(prepared, max_len):
-    """The same rows with every column left at max_len (no trim)."""
-    return PreparedPairs(prepared.columns, prepared.n, {name: max_len for name in prepared.columns})
+    """The same rows with every column padded back to max_len (no trim)."""
+    columns = {
+        name: (np.pad(ids, ((0, 0), (0, max_len - ids.shape[1]))), lengths)
+        for name, (ids, lengths) in prepared.columns.items()
+    }
+    return PreparedPairs(columns, {name: max_len for name in columns})
 
 
 class TestBatchTrim:

@@ -160,6 +160,15 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("field", ["max_epochs", "patience"])
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_epochs_and_patience_must_be_positive(self, field, bad):
+        # max_epochs=0 trains nothing and leaves no best epoch to restore;
+        # patience=0 would stop exactly where patience=1 does
+        with pytest.raises(ContractError, match=f"{field} must be >= 1"):
+            TrainConfig(**{field: bad})
+        assert getattr(TrainConfig(**{field: 1}), field) == 1
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_clip_norm_must_be_positive(self, bad):
         # a negative bound flips every gradient's sign: RMSProp would ascend the loss

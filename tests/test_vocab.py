@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccnrank.corpus import TrainInstance, generate_synthetic, tokenize
 from ccnrank.numerics import ContractError
@@ -15,6 +16,7 @@ from ccnrank.vocab import (
     common_words,
     cwf_score,
     encode,
+    filter_rows,
     filter_sequence,
     load_vocab,
     save_vocab,
@@ -100,11 +102,13 @@ class TestFrequencySplit:
             assert split.high | split.low == frozenset(vocab.word_to_id.values())
             for w, i in vocab.word_to_id.items():
                 assert (i in split.high) == (counts[w] > threshold)
+            assert set(np.flatnonzero(split.is_high)) == split.high
 
     def test_oov_routed_low(self):
         split = split_by_frequency(make_vocab({"a": 9}), 5)
         assert split.band_of(OOV_ID) == LOW
         assert split.band_of(PAD_ID) is None
+        assert not split.is_high[OOV_ID] and not split.is_high[PAD_ID]
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ContractError):
@@ -192,6 +196,45 @@ class TestFilterSequence:
             merged = Counter(hi.ids[: hi.true_length]) + Counter(lo.ids[: lo.true_length])
             original = Counter(i for i in enc.ids[: enc.true_length] if i != PAD_ID)
             assert merged == original
+
+
+class TestFilterRows:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_membership_oracle(self, data):
+        counts = {f"w{i}": c for i, c in enumerate(data.draw(st.lists(st.integers(1, 10), max_size=12)))}
+        vocab = make_vocab(counts)
+        split = split_by_frequency(vocab, data.draw(st.integers(0, 10)))
+        n, length = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 40))
+        # ragged rows of ids in [0, size): pad (also inside a row), oov and real words
+        ids = np.zeros((n, length), dtype=np.int64)
+        for row in range(n):
+            used = data.draw(st.integers(0, length))
+            ids[row, :used] = data.draw(
+                st.lists(st.integers(0, vocab.size - 1), min_size=used, max_size=used)
+            )
+        filtered = {}
+        for band in (HIGH, LOW):
+            out, lengths = filter_rows(ids, split, band)
+            filtered[band] = lengths
+            assert out.shape == ids.shape and lengths.shape == (n,)
+            for row in range(n):
+                kept = [i for i in ids[row] if i != PAD_ID and (i in split.high) == (band == HIGH)]
+                np.testing.assert_array_equal(out[row], kept + [PAD_ID] * (length - len(kept)))
+                assert lengths[row] == len(kept)
+        # the two bands partition every row's non-pad ids
+        np.testing.assert_array_equal(filtered[HIGH] + filtered[LOW], (ids != PAD_ID).sum(axis=1))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_ids_outside_the_table_rejected(self, bad):
+        split = split_by_frequency(make_vocab({"a": 9, "b": 1}), 5)  # ids 0..3
+        with pytest.raises(ContractError, match="out of range"):
+            filter_rows(np.array([[2, bad]]), split, HIGH)
+
+    def test_bad_band_rejected(self):
+        split = split_by_frequency(make_vocab({"a": 9}), 5)
+        with pytest.raises(ContractError):
+            filter_rows(np.array([[2]]), split, "middle")
 
 
 class TestCommonWords:

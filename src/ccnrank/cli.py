@@ -196,16 +196,16 @@ def cmd_train(args):
         },
     )
     for attr, value in (
-        ("seed", 0),
-        ("epochs", 10),
-        ("batch_size", 256),
-        ("learning_rate", 1e-3),
-        ("hidden_size", 256),
-        ("embedding_dim", 300),
-        ("max_len", 160),
-        ("k", 1),
-        ("threshold", vb.DEFAULT_FREQUENCY_THRESHOLD),
-        ("patience", 2),
+        ("seed", models.ModelConfig.seed),
+        ("epochs", training.TrainConfig.max_epochs),
+        ("batch_size", training.TrainConfig.batch_size),
+        ("learning_rate", training.TrainConfig.learning_rate),
+        ("hidden_size", models.ModelConfig.hidden_size),
+        ("embedding_dim", models.ModelConfig.embedding_dim),
+        ("max_len", models.ModelConfig.max_len),
+        ("k", models.ModelConfig.k),
+        ("threshold", models.ModelConfig.frequency_threshold),
+        ("patience", training.TrainConfig.patience),
     ):
         _default(args, attr, value)
 
@@ -416,9 +416,9 @@ def build_parser():
     tr.add_argument("--k", type=int, default=None)
     tr.add_argument("--threshold", type=int, default=None, help="high/low frequency boundary")
     tr.add_argument("--patience", type=int, default=None)
-    tr.add_argument("--precision", default="float64", choices=("float64", "float32"))
+    tr.add_argument("--precision", default=models.ModelConfig.precision, choices=("float64", "float32"))
     tr.add_argument(
-        "--ccn-head", default="sigmoid", choices=models.CCN_HEADS, dest="ccn_head",
+        "--ccn-head", default=models.ModelConfig.ccn_head, choices=models.CCN_HEADS, dest="ccn_head",
         help="ccn_lstm cross-convolution branch: sigmoid (one dense head, raw score) or parallel "
         "(two dense heads, sigmoid(first) + second); the final sigmoid applies in both",
     )

@@ -96,13 +96,13 @@ def _check_shared_vocabulary(models):
             raise ContractError("model has no vocabulary attached")
 
 
-def score_instances(models, instances, batch_size=256):
+def score_instances(models, instances):
     """ScoredCandidateSets: ensembled model probabilities plus CWF per candidate."""
     _check_shared_vocabulary(models)
     vocab = models[0].vocab
     n_candidates = len(instances[0].candidates) if instances else 0
     pairs = [(inst.context, cand) for inst in instances for cand in inst.candidates]
-    member_probs = [m.score_pairs(pairs, batch_size=batch_size) for m in models]
+    member_probs = [m.score_pairs(pairs) for m in models]
     probs = ensemble_scores(member_probs).reshape(len(instances), n_candidates)
     scored = []
     for i, inst in enumerate(instances):
@@ -124,9 +124,9 @@ def report_from_scored(scored_sets, scale) -> RecallReport:
     )
 
 
-def evaluate(models, instances, scale=0.0, batch_size=256) -> RecallReport:
+def evaluate(models, instances, scale=0.0) -> RecallReport:
     """Score, ensemble, CWF-rescore, and rank an eval set into a RecallReport."""
-    scored = score_instances(models, instances, batch_size=batch_size)
+    scored = score_instances(models, instances)
     return report_from_scored(scored, scale)
 
 
@@ -143,7 +143,7 @@ def tune_scale_from_scored(scored_sets, grid=DEFAULT_SCALE_GRID) -> float:
     return best_scale
 
 
-def tune_scale(models, validation_instances, grid=DEFAULT_SCALE_GRID, batch_size=256) -> float:
+def tune_scale(models, validation_instances, grid=DEFAULT_SCALE_GRID) -> float:
     """Pick the CWF scale on a validation split by recall@1."""
-    scored = score_instances(models, validation_instances, batch_size=batch_size)
+    scored = score_instances(models, validation_instances)
     return tune_scale_from_scored(scored, grid)

@@ -71,16 +71,6 @@ class LstmParams:
 
 
 @dataclass(eq=False)
-class BilinearParams:
-    weight: Tensor  # [H x H]
-
-
-@dataclass(eq=False)
-class DenseScorerParams:
-    weight: Tensor  # [H]
-
-
-@dataclass(eq=False)
 class CcnParams:
     """Dense head over the pooled grid; a second weight/bias pair makes it
     the parallel head, sigmoid(first) + second."""
@@ -284,29 +274,29 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
     return nm.custom_op(out, (x, params.w_in, params.w_rec, params.bias), backward_fn)
 
 
-def bilinear_score(c: Tensor, r: Tensor, params: BilinearParams) -> Tensor:
-    """c^T W r, batched over rows when given [B x H] inputs."""
+def bilinear_score(c: Tensor, r: Tensor, weight: Tensor) -> Tensor:
+    """c^T W r for the [H x H] ``weight`` W, batched over rows when given [B x H] inputs."""
     single = c.ndim == 1
     if single:
         c = c.reshape(1, c.shape[0])
         r = r.reshape(1, r.shape[0])
-    if c.shape != r.shape or c.shape[1] != params.weight.shape[0]:
+    if c.shape != r.shape or c.shape[1] != weight.shape[0]:
         raise ShapeError(
-            f"bilinear_score: shapes {c.shape}, {r.shape}, weight {params.weight.shape}"
+            f"bilinear_score: shapes {c.shape}, {r.shape}, weight {weight.shape}"
         )
-    scores = nm.tsum(nm.mul(nm.matmul(c, params.weight), r), axis=1)
+    scores = nm.tsum(nm.mul(nm.matmul(c, weight), r), axis=1)
     return scores.reshape(()) if single else scores
 
 
-def dense_score(h: Tensor, params: DenseScorerParams) -> Tensor:
-    """Inner product with the scorer weight, batched over rows."""
+def dense_score(h: Tensor, weight: Tensor) -> Tensor:
+    """Inner product with the [H] scorer ``weight``, batched over rows."""
     single = h.ndim == 1
     if single:
         h = h.reshape(1, h.shape[0])
-    dim = params.weight.shape[0]
+    dim = weight.shape[0]
     if h.shape[1] != dim:
-        raise ShapeError(f"dense_score: input {h.shape} vs weight {params.weight.shape}")
-    scores = nm.matmul(h, params.weight.reshape(dim, 1)).reshape(h.shape[0])
+        raise ShapeError(f"dense_score: input {h.shape} vs weight {weight.shape}")
+    scores = nm.matmul(h, weight.reshape(dim, 1)).reshape(h.shape[0])
     return scores.reshape(()) if single else scores
 
 

@@ -1,18 +1,23 @@
 """The three ranking architectures and their bit-exact persistence.
 
-``dual_lstm``     one tied-weight LSTM over shared high-band embeddings for
-                  context and response, bilinear score, sigmoid.
-``mfcw_lstm``     high- and low-frequency bands, each with its own embedding
-                  table and tied context/response LSTM, plus per-band
-                  common-word encoders with separate LSTM weights; the four
-                  branch scores combine through trainable weights under one
-                  sigmoid.
-``ccn_lstm``      the dual-encoder branch on one embedding table plus a
-                  cross-convolution branch on a second table (tables do not
-                  share weights); both branches see high-band words only and
-                  their raw scores combine under one sigmoid.  ``ccn_head``
-                  ``parallel`` gives the cross-convolution branch a second
-                  dense head: its score is sigmoid(first) + second.
+An architecture is its row in ``BRANCHES``: a tuple of score branches, each
+``(kind, band, embedding table, encoder prefix, head)``.  The table alone
+decides the parameters (``parameter_spec``), the id columns
+``prepare_pairs`` builds and the layers ``forward_batch`` runs.  Kinds:
+
+``pair``          tied-weight LSTM over the band's context and response
+                  words, bilinear score.
+``common``        LSTM over the band's common words, dense score.
+``ccn``           cross-convolution over the band's context and response
+                  words; ``ccn_head`` ``parallel`` gives it a second dense
+                  head, scored sigmoid(first) + second.
+
+``dual_lstm`` is one high-band pair branch.  ``mfcw_lstm`` has a pair and a
+common-word branch per band; the two bands have their own embedding tables
+and the common-word encoders their own LSTM weights.  ``ccn_lstm`` pairs a
+high-band LSTM branch with a cross-convolution branch on a second table.
+With more than one branch, the raw scores combine through trainable
+``branch_weights`` under one sigmoid.
 
 Checkpoints are a binary container: 8-byte magic ``CCNRANK1``, a 4-byte
 little-endian header length, a canonical-JSON header (format version,
@@ -31,9 +36,7 @@ import numpy as np
 from . import numerics as nm
 from . import vocab as vb
 from .layers import (
-    BilinearParams,
     CcnParams,
-    DenseScorerParams,
     EmbeddingTable,
     LstmParams,
     apply_pretrained,
@@ -53,6 +56,22 @@ MFCW_LSTM = "mfcw_lstm"
 CCN_LSTM = "ccn_lstm"
 ARCHITECTURES = (DUAL_LSTM, MFCW_LSTM, CCN_LSTM)
 CCN_HEADS = ("sigmoid", "parallel")
+
+PAIR, COMMON, CCN = "pair", "common", "ccn"
+# architecture -> branches, each (kind, band, embedding table, encoder prefix, head)
+BRANCHES = {
+    DUAL_LSTM: ((PAIR, vb.HIGH, "embedding_high", "encoder", "bilinear"),),
+    MFCW_LSTM: (
+        (PAIR, vb.HIGH, "embedding_high", "encoder_high", "bilinear_high"),
+        (PAIR, vb.LOW, "embedding_low", "encoder_low", "bilinear_low"),
+        (COMMON, vb.HIGH, "embedding_high", "encoder_common_high", "common_head_high"),
+        (COMMON, vb.LOW, "embedding_low", "encoder_common_low", "common_head_low"),
+    ),
+    CCN_LSTM: (
+        (PAIR, vb.HIGH, "embedding_lstm", "encoder", "bilinear"),
+        (CCN, vb.HIGH, "embedding_ccn", None, "ccn"),
+    ),
+}
 
 CHECKPOINT_MAGIC = b"CCNRANK1"
 CHECKPOINT_VERSION = 1
@@ -91,45 +110,25 @@ class ModelConfig:
             raise ContractError(f"ccn_head must be one of {CCN_HEADS}")
 
 
-def _lstm_spec(prefix, n, h):
-    return [
-        (f"{prefix}.w_in", (4 * h, n)),
-        (f"{prefix}.w_rec", (4 * h, h)),
-        (f"{prefix}.bias", (4 * h,)),
-    ]
-
-
 def parameter_spec(config: ModelConfig, vocab_size: int):
-    """Ordered (name, shape) list of every parameter of the architecture."""
-    n, h, length = config.embedding_dim, config.hidden_size, config.max_len
-    spec = []
-    if config.architecture == DUAL_LSTM:
-        spec.append(("embedding_high", (vocab_size, n)))
-        spec.extend(_lstm_spec("encoder", n, h))
-        spec.append(("bilinear", (h, h)))
-    elif config.architecture == MFCW_LSTM:
-        spec.append(("embedding_high", (vocab_size, n)))
-        spec.append(("embedding_low", (vocab_size, n)))
-        spec.extend(_lstm_spec("encoder_high", n, h))
-        spec.extend(_lstm_spec("encoder_low", n, h))
-        spec.extend(_lstm_spec("encoder_common_high", n, h))
-        spec.extend(_lstm_spec("encoder_common_low", n, h))
-        spec.append(("bilinear_high", (h, h)))
-        spec.append(("bilinear_low", (h, h)))
-        spec.append(("common_head_high", (h,)))
-        spec.append(("common_head_low", (h,)))
-        spec.append(("branch_weights", (4,)))
-    else:
-        spec.append(("embedding_lstm", (vocab_size, n)))
-        spec.append(("embedding_ccn", (vocab_size, n)))
-        spec.extend(_lstm_spec("encoder", n, h))
-        spec.append(("bilinear", (h, h)))
-        spec.append(("ccn.weight", (config.k * length,)))
-        spec.append(("ccn.bias", (1,)))
-        if config.ccn_head == "parallel":
-            spec.append(("ccn2.weight", (config.k * length,)))
-            spec.append(("ccn2.bias", (1,)))
-        spec.append(("branch_weights", (2,)))
+    """Ordered (name, shape) list of every parameter of the architecture:
+    embedding tables, encoders, heads, then the branch weights."""
+    n, h, kl = config.embedding_dim, config.hidden_size, config.k * config.max_len
+    branches = BRANCHES[config.architecture]
+    spec = [(table, (vocab_size, n)) for table in _embedding_names(config)]
+    for prefix in dict.fromkeys(encoder for _, _, _, encoder, _ in branches if encoder):
+        spec += [(f"{prefix}.w_in", (4 * h, n)), (f"{prefix}.w_rec", (4 * h, h)),
+                 (f"{prefix}.bias", (4 * h,))]
+    for kind, _, _, _, head in branches:
+        if kind == PAIR:
+            spec.append((head, (h, h)))
+        elif kind == COMMON:
+            spec.append((head, (h,)))
+        else:
+            for dense in (head, f"{head}2") if config.ccn_head == "parallel" else (head,):
+                spec += [(f"{dense}.weight", (kl,)), (f"{dense}.bias", (1,))]
+    if len(branches) > 1:
+        spec.append(("branch_weights", (len(branches),)))
     return spec
 
 
@@ -173,17 +172,14 @@ class RankingModel:
             bias=self.params[f"{prefix}.bias"],
         )
 
-    def bilinear(self, name="bilinear") -> BilinearParams:
-        return BilinearParams(weight=self.params[name])
-
-    def ccn(self) -> CcnParams:
+    def ccn(self, head) -> CcnParams:
         parallel = self.config.ccn_head == "parallel"
         return CcnParams(
             k=self.config.k,
-            weight=self.params["ccn.weight"],
-            bias=self.params["ccn.bias"],
-            weight2=self.params["ccn2.weight"] if parallel else None,
-            bias2=self.params["ccn2.bias"] if parallel else None,
+            weight=self.params[f"{head}.weight"],
+            bias=self.params[f"{head}.bias"],
+            weight2=self.params[f"{head}2.weight"] if parallel else None,
+            bias2=self.params[f"{head}2.bias"] if parallel else None,
         )
 
     # scoring ----------------------------------------------------------------
@@ -209,11 +205,7 @@ class RankingModel:
 
 
 def _embedding_names(config: ModelConfig):
-    if config.architecture == MFCW_LSTM:
-        return ("embedding_high", "embedding_low")
-    if config.architecture == CCN_LSTM:
-        return ("embedding_lstm", "embedding_ccn")
-    return ("embedding_high",)
+    return tuple(dict.fromkeys(table for _, _, table, _, _ in BRANCHES[config.architecture]))
 
 
 def build_model(config: ModelConfig, vocab: Vocabulary, pretrained_vectors=None):
@@ -287,9 +279,9 @@ class PreparedPairs:
     stored already cut for all the rows.
     """
 
-    def __init__(self, columns, min_cols=None):
+    def __init__(self, columns, min_cols):
         self.columns = columns  # name -> (ids [n x W], lengths [n]), W <= max_len
-        self.min_cols = min_cols or {}  # name -> fewest columns select may leave
+        self.min_cols = min_cols  # name -> fewest columns select may leave
         self.columns = {name: (ids.copy(), lengths) for name, (ids, lengths) in self.select().items()}
 
     def select(self, rows=None):
@@ -311,72 +303,51 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
         "ctx": [vb.encode(c, vocab, length, vb.CONTEXT).ids for c, _ in pairs],
         "resp": [vb.encode(r, vocab, length, vb.RESPONSE).ids for _, r in pairs],
     }
-    bands = (vb.HIGH,)
-    if model.config.architecture == MFCW_LSTM:
+    branches = BRANCHES[model.config.architecture]
+    if any(kind == COMMON for kind, *_ in branches):
         commons = [vb.common_words(c, r) for c, r in pairs]
         sides["common"] = [vb.encode(t, vocab, length, vb.RESPONSE).ids for t in commons]
-        bands = (vb.HIGH, vb.LOW)
+    bands = dict.fromkeys(band for _, band, *_ in branches)
     columns = {}
     for side, encoded in sides.items():
         ids = np.array(encoded, dtype=np.int64).reshape(len(pairs), length)
         for band in bands:
             columns[f"{side}_{band}"] = vb.filter_rows(ids, model.split, band)
     # cross-convolution pools k values per response word from the context columns
-    min_cols = {"ctx_high": model.config.k} if model.config.architecture == CCN_LSTM else None
+    min_cols = {f"ctx_{band}": model.config.k for kind, band, *_ in branches if kind == CCN}
     return PreparedPairs(columns, min_cols)
-
-
-def _branch_combine(weights: Tensor, scores) -> Tensor:
-    total = None
-    for i, s in enumerate(scores):
-        term = nm.mul(weights.narrow(0, i, 1), s)
-        total = term if total is None else nm.add(total, term)
-    return total
 
 
 def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Tensor:
     """Probabilities for the prepared rows; differentiable w.r.t. model parameters."""
     cols = prepared.select(rows)
-    arch = model.config.architecture
-    if arch == DUAL_LSTM:
-        emb = model.embedding("embedding_high")
-        enc = model.lstm("encoder")
-        c = lstm_encode(embed_lookup(cols["ctx_high"][0], emb), cols["ctx_high"][1], enc)
-        r = lstm_encode(embed_lookup(cols["resp_high"][0], emb), cols["resp_high"][1], enc)
-        return nm.sigmoid(bilinear_score(c, r, model.bilinear()))
-    if arch == MFCW_LSTM:
-        scores = []
-        for band in (vb.HIGH, vb.LOW):
-            emb = model.embedding(f"embedding_{band}")
-            enc = model.lstm(f"encoder_{band}")
-            c = lstm_encode(embed_lookup(cols[f"ctx_{band}"][0], emb), cols[f"ctx_{band}"][1], enc)
-            r = lstm_encode(embed_lookup(cols[f"resp_{band}"][0], emb), cols[f"resp_{band}"][1], enc)
-            scores.append(bilinear_score(c, r, model.bilinear(f"bilinear_{band}")))
-        for band in (vb.HIGH, vb.LOW):
-            emb = model.embedding(f"embedding_{band}")
-            enc = model.lstm(f"encoder_common_{band}")
-            common = lstm_encode(
-                embed_lookup(cols[f"common_{band}"][0], emb), cols[f"common_{band}"][1], enc
-            )
-            scores.append(dense_score(common, DenseScorerParams(weight=model.params[f"common_head_{band}"])))
-        return nm.sigmoid(_branch_combine(model.params["branch_weights"], scores))
-    # ccn_lstm
-    emb_lstm = model.embedding("embedding_lstm")
-    enc = model.lstm("encoder")
-    ctx_ids, ctx_len = cols["ctx_high"]
-    resp_ids, resp_len = cols["resp_high"]
-    c = lstm_encode(embed_lookup(ctx_ids, emb_lstm), ctx_len, enc)
-    r = lstm_encode(embed_lookup(resp_ids, emb_lstm), resp_len, enc)
-    s_lstm = bilinear_score(c, r, model.bilinear())
-    emb_ccn = model.embedding("embedding_ccn")
-    s_ccn = cross_convolution(
-        embed_lookup(ctx_ids, emb_ccn),
-        embed_lookup(resp_ids, emb_ccn),
-        model.ccn(),
-        context_length=ctx_len,
-        response_length=resp_len,
-    )
-    return nm.sigmoid(_branch_combine(model.params["branch_weights"], [s_lstm, s_ccn]))
+    branches = BRANCHES[model.config.architecture]
+    total = None
+    for i, (kind, band, table, encoder, head) in enumerate(branches):
+        emb = model.embedding(table)
+        if kind == COMMON:
+            ids, lengths = cols[f"common_{band}"]
+            encoded = lstm_encode(embed_lookup(ids, emb), lengths, model.lstm(encoder))
+            score = dense_score(encoded, model.params[head])
+        else:
+            (ctx_ids, ctx_len), (resp_ids, resp_len) = cols[f"ctx_{band}"], cols[f"resp_{band}"]
+            if kind == PAIR:
+                enc = model.lstm(encoder)
+                c = lstm_encode(embed_lookup(ctx_ids, emb), ctx_len, enc)
+                r = lstm_encode(embed_lookup(resp_ids, emb), resp_len, enc)
+                score = bilinear_score(c, r, model.params[head])
+            else:
+                score = cross_convolution(
+                    embed_lookup(ctx_ids, emb),
+                    embed_lookup(resp_ids, emb),
+                    model.ccn(head),
+                    context_length=ctx_len,
+                    response_length=resp_len,
+                )
+        if len(branches) > 1:  # weighted sum of the raw branch scores
+            score = nm.mul(model.params["branch_weights"].narrow(0, i, 1), score)
+        total = score if total is None else nm.add(total, score)
+    return nm.sigmoid(total)
 
 
 # -- persistence ----------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .evaluation import rank_candidates
+from .evaluation import rank_candidates, recall_at_k
 from .models import RankingModel, forward_batch, prepare_pairs
 from .numerics import ContractError, RmsProp, Tensor, backward
 
@@ -86,16 +86,15 @@ def batch_indices(order, batch_size):
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
-def validation_metrics(model: RankingModel, validation, batch_size=256):
+def validation_metrics(model: RankingModel, validation):
     """(pair accuracy at threshold 0.5, recall@1) over an eval-format set."""
     pairs = [(inst.context, cand) for inst in validation for cand in inst.candidates]
-    probs = model.score_pairs(pairs, batch_size=batch_size).reshape(len(validation), -1)
+    probs = model.score_pairs(pairs).reshape(len(validation), -1)
     labels = np.zeros_like(probs)
     labels[:, 0] = 1.0
     accuracy = float(((probs >= 0.5) == (labels == 1.0)).mean())
     ranks = [rank_candidates(row) for row in probs]
-    recall1 = float(np.mean([r <= 1 for r in ranks]))
-    return accuracy, recall1
+    return accuracy, recall_at_k(ranks, 1)
 
 
 def _clip_gradients(params, max_norm, epoch, batch_index):

@@ -100,12 +100,6 @@ class FrequencySplit:
     low: frozenset
     is_high: np.ndarray  # bool per id in the vocabulary's id space; pad and oov are False
 
-    def band_of(self, token_id) -> str | None:
-        """Band of an id; pad has none, oov counts as low."""
-        if token_id == PAD_ID:
-            return None
-        return HIGH if self.is_high[token_id] else LOW
-
 
 def split_by_frequency(vocab: Vocabulary, threshold=DEFAULT_FREQUENCY_THRESHOLD) -> FrequencySplit:
     if threshold < 0:

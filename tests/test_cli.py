@@ -1,12 +1,15 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 import numpy as np
 
+from ccnrank import training
 from ccnrank.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from ccnrank.corpus import load_eval, load_train
-from ccnrank.models import load_checkpoint, save_checkpoint
+from ccnrank.models import ARCHITECTURES, ModelConfig, load_checkpoint, save_checkpoint
+from ccnrank.training import EpochReport, TrainConfig
 from ccnrank.vocab import build_vocab
 
 
@@ -139,6 +142,20 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "val_accuracy\t" in stdout
         assert "val_recall@1\t" in stdout
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_defaults_are_the_config_defaults(self, run_in_tmpdir, monkeypatch, arch):
+        def no_training(model, train_set, config):
+            assert asdict(config) == asdict(TrainConfig(validation=config.validation, log_path=config.log_path))
+            return model, [EpochReport(epoch=1, train_loss=0.0, val_accuracy=0.5, val_recall1=0.5, seconds=0.0)]
+
+        monkeypatch.setattr(training, "train", no_training)
+        data = gen(run_in_tmpdir)
+        rc = main(["train", "--arch", arch, "--train", str(data / "train.csv"),
+                   "--val", str(data / "validation.csv"), "--out", "model.ckpt"])
+        assert rc == EXIT_OK
+        manifest = json.loads((run_in_tmpdir / "model.ckpt.manifest.json").read_text())
+        assert manifest["configuration"]["model"] == asdict(ModelConfig(arch))
 
     def test_bogus_architecture_is_usage_error(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)

@@ -160,7 +160,7 @@ class FixedScoreModel:
         self.vocab_hash = vocab.content_hash()
         self.score_fn = score_fn
 
-    def score_pairs(self, pairs, batch_size=256):
+    def score_pairs(self, pairs):
         return np.array([self.score_fn(c, r) for c, r in pairs])
 
 

@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from ccnrank import numerics as nm
 from ccnrank.layers import (
-    BilinearParams,
     CcnParams,
     ConfigurationError,
-    DenseScorerParams,
     EmbeddingTable,
     LstmParams,
     apply_pretrained,
@@ -238,32 +236,32 @@ class TestLstmEncode:
 class TestScorers:
     def test_bilinear_identity(self):
         ps = ParameterSet()
-        params = BilinearParams(weight=ps.add("m", np.eye(3)))
+        weight = ps.add("m", np.eye(3))
         e1 = Tensor(np.array([1.0, 0.0, 0.0]))
-        assert bilinear_score(e1, e1, params).item() == 1.0
+        assert bilinear_score(e1, e1, weight).item() == 1.0
 
     def test_bilinear_zero_input(self):
         ps = ParameterSet()
-        params = BilinearParams(weight=ps.add("m", np.ones((3, 3))))
+        weight = ps.add("m", np.ones((3, 3)))
         z = Tensor(np.zeros(3))
-        assert bilinear_score(z, Tensor(np.ones(3)), params).item() == 0.0
+        assert bilinear_score(z, Tensor(np.ones(3)), weight).item() == 0.0
 
     def test_bilinear_matches_triple_loop(self):
         rng = np.random.default_rng(7)
         ps = ParameterSet()
         m = rng.normal(size=(3, 3))
-        params = BilinearParams(weight=ps.add("m", m))
+        weight = ps.add("m", m)
         c, r = rng.normal(size=3), rng.normal(size=3)
         expected = sum(c[i] * m[i, j] * r[j] for i in range(3) for j in range(3))
-        got = bilinear_score(Tensor(c), Tensor(r), params).item()
+        got = bilinear_score(Tensor(c), Tensor(r), weight).item()
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_bilinear_transpose_symmetry(self):
         rng = np.random.default_rng(8)
         m = rng.normal(size=(4, 4))
         ps = ParameterSet()
-        p_m = BilinearParams(weight=ps.add("m", m))
-        p_mt = BilinearParams(weight=ps.add("mt", m.T))
+        p_m = ps.add("m", m)
+        p_mt = ps.add("mt", m.T)
         c, r = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
         assert bilinear_score(c, r, p_m).item() == pytest.approx(
             bilinear_score(r, c, p_mt).item(), rel=1e-12
@@ -271,34 +269,34 @@ class TestScorers:
 
     def test_bilinear_shape_error(self):
         ps = ParameterSet()
-        params = BilinearParams(weight=ps.add("m", np.eye(3)))
+        weight = ps.add("m", np.eye(3))
         with pytest.raises(ShapeError):
-            bilinear_score(Tensor(np.zeros(2)), Tensor(np.zeros(2)), params)
+            bilinear_score(Tensor(np.zeros(2)), Tensor(np.zeros(2)), weight)
 
     def test_dense_zero_weight(self):
         ps = ParameterSet()
-        params = DenseScorerParams(weight=ps.add("d", np.zeros(3)))
-        assert dense_score(Tensor(np.ones(3)), params).item() == 0.0
+        weight = ps.add("d", np.zeros(3))
+        assert dense_score(Tensor(np.ones(3)), weight).item() == 0.0
 
     def test_dense_basis_weight(self):
         ps = ParameterSet()
-        params = DenseScorerParams(weight=ps.add("d", np.array([1.0, 0.0, 0.0])))
-        assert dense_score(Tensor(np.array([5.0, 7.0, 9.0])), params).item() == 5.0
+        weight = ps.add("d", np.array([1.0, 0.0, 0.0]))
+        assert dense_score(Tensor(np.array([5.0, 7.0, 9.0])), weight).item() == 5.0
 
     def test_dense_matches_dot_oracle(self):
         rng = np.random.default_rng(9)
         ps = ParameterSet()
         d = rng.normal(size=6)
-        params = DenseScorerParams(weight=ps.add("d", d))
+        weight = ps.add("d", d)
         h = rng.normal(size=6)
         expected = sum(d[i] * h[i] for i in range(6))
-        assert dense_score(Tensor(h), params).item() == pytest.approx(expected, rel=1e-12)
+        assert dense_score(Tensor(h), weight).item() == pytest.approx(expected, rel=1e-12)
 
     def test_scorer_gradients(self):
         rng = np.random.default_rng(10)
         ps = ParameterSet()
-        bil = BilinearParams(weight=ps.add("m", rng.normal(size=(4, 4))))
-        den = DenseScorerParams(weight=ps.add("d", rng.normal(size=4)))
+        bil = ps.add("m", rng.normal(size=(4, 4)))
+        den = ps.add("d", rng.normal(size=4))
         c = ps.add("c", rng.normal(size=(3, 4)))
         r = ps.add("r", rng.normal(size=(3, 4)))
 

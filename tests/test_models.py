@@ -593,6 +593,11 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.params["embedding_low"].data[PAD_ID], 0.0)
 
 
+def lstm_spec(prefix):
+    """An LSTM's spec entries at embedding_dim 3, hidden_size 2."""
+    return [(f"{prefix}.w_in", (8, 3)), (f"{prefix}.w_rec", (8, 2)), (f"{prefix}.bias", (8,))]
+
+
 class TestParameterSpec:
     def test_covers_all_architectures(self):
         for arch in ARCHITECTURES:
@@ -600,6 +605,32 @@ class TestParameterSpec:
             names = [n for n, _ in spec]
             assert len(names) == len(set(names))
             assert any(n.startswith("embedding") for n in names)
+
+    PINNED = {
+        ("dual_lstm", "sigmoid"): [("embedding_high", (10, 3)), *lstm_spec("encoder"), ("bilinear", (2, 2))],
+        ("mfcw_lstm", "sigmoid"): [
+            ("embedding_high", (10, 3)), ("embedding_low", (10, 3)),
+            *lstm_spec("encoder_high"), *lstm_spec("encoder_low"),
+            *lstm_spec("encoder_common_high"), *lstm_spec("encoder_common_low"),
+            ("bilinear_high", (2, 2)), ("bilinear_low", (2, 2)),
+            ("common_head_high", (2,)), ("common_head_low", (2,)), ("branch_weights", (4,)),
+        ],
+        ("ccn_lstm", "sigmoid"): [
+            ("embedding_lstm", (10, 3)), ("embedding_ccn", (10, 3)), *lstm_spec("encoder"),
+            ("bilinear", (2, 2)), ("ccn.weight", (10,)), ("ccn.bias", (1,)), ("branch_weights", (2,)),
+        ],
+        ("ccn_lstm", "parallel"): [
+            ("embedding_lstm", (10, 3)), ("embedding_ccn", (10, 3)), *lstm_spec("encoder"),
+            ("bilinear", (2, 2)), ("ccn.weight", (10,)), ("ccn.bias", (1,)),
+            ("ccn2.weight", (10,)), ("ccn2.bias", (1,)), ("branch_weights", (2,)),
+        ],
+    }
+
+    @pytest.mark.parametrize("arch, head", list(PINNED))
+    def test_exact_names_shapes_and_order(self, arch, head):
+        # the order fixes the seeded draw stream and the checkpoint manifest
+        config = tiny_config(arch, embedding_dim=3, hidden_size=2, max_len=5, k=2, ccn_head=head)
+        assert parameter_spec(config, vocab_size=10) == self.PINNED[arch, head]
 
     def test_parallel_head_adds_second_dense(self):
         spec = dict(parameter_spec(tiny_config("ccn_lstm", ccn_head="parallel"), 10))

@@ -106,9 +106,12 @@ class TestFrequencySplit:
 
     def test_oov_routed_low(self):
         split = split_by_frequency(make_vocab({"a": 9}), 5)
-        assert split.band_of(OOV_ID) == LOW
-        assert split.band_of(PAD_ID) is None
         assert not split.is_high[OOV_ID] and not split.is_high[PAD_ID]
+        ids = np.array([[PAD_ID, OOV_ID, 2, PAD_ID]])
+        high, high_len = filter_rows(ids, split, HIGH)
+        low, low_len = filter_rows(ids, split, LOW)
+        assert high.tolist() == [[2, PAD_ID, PAD_ID, PAD_ID]] and high_len.tolist() == [1]
+        assert low.tolist() == [[OOV_ID, PAD_ID, PAD_ID, PAD_ID]] and low_len.tolist() == [1]
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ContractError):

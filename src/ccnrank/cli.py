@@ -237,6 +237,7 @@ def cmd_train(args):
         clip_norm=args.clip_norm,
         log_path=log_path,
     )
+    vocabulary = vb.load_vocab(args.vocab) if args.vocab else None  # a bad file fails before any write
     write_manifest(
         args.out + ".manifest.json",
         "train",
@@ -259,9 +260,7 @@ def cmd_train(args):
 
     train_set = corpus.load_train(args.train)
     val_set = corpus.load_eval(args.val)
-    if args.vocab:
-        vocabulary = vb.load_vocab(args.vocab)
-    else:
+    if vocabulary is None:
         vocabulary = vb.build_vocab(train_set)
         vb.save_vocab(vocabulary, vocab_out)
         _progress(f"built vocabulary ({vocabulary.size} ids) -> {vocab_out}")
@@ -294,6 +293,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model_paths = [p for p in args.models.split(",") if p]
+    vocabulary = vb.load_vocab(args.vocab)  # a bad file fails before the manifest is written
     inputs = model_paths + [args.vocab, args.eval] + ([args.tune_cwf] if args.tune_cwf else [])
     write_manifest(
         args.manifest,
@@ -309,7 +309,6 @@ def cmd_evaluate(args):
         outputs=[],
         seed=None,
     )
-    vocabulary = vb.load_vocab(args.vocab)
     loaded = [models.load_checkpoint(p, vocab=vocabulary) for p in model_paths]
     eval_set = corpus.load_eval(args.eval)
     scale = args.cwf_scale if args.cwf_scale is not None else 0.0

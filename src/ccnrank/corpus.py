@@ -76,6 +76,20 @@ def tokenize(text: str) -> TokenSequence:
     return tuple(tokens)
 
 
+def _load_tokenizer():
+    """``tokenize`` for one file load: each distinct text is tokenized once,
+    and equal tokens share one string object."""
+    texts, words = {}, {}
+
+    def tokenize_text(text):
+        tokens = texts.get(text)
+        if tokens is None:
+            tokens = texts[text] = tuple(words.setdefault(t, t) for t in tokenize(text))
+        return tokens
+
+    return tokenize_text
+
+
 @dataclass(frozen=True)
 class TrainInstance:
     context: TokenSequence
@@ -117,12 +131,13 @@ def load_train(path) -> list:
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         _check_header(header, TRAIN_HEADER, path)
+        tokens = _load_tokenizer()  # a context appears on two rows, once per label
         for i, row in enumerate(reader, start=1):
             if len(row) != 3:
                 raise ParseError(f"{path}: row {i}: expected 3 columns, got {len(row)}")
             if row[2] not in ("0", "1"):
                 raise ParseError(f"{path}: row {i}: label must be 0 or 1, got {row[2]!r}")
-            out.append(TrainInstance(tokenize(row[0]), tokenize(row[1]), int(row[2])))
+            out.append(TrainInstance(tokens(row[0]), tokens(row[1]), int(row[2])))
     return out
 
 
@@ -144,12 +159,13 @@ def load_eval(path) -> list:
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         _check_header(header, EVAL_HEADER, path)
+        tokens = _load_tokenizer()
         for i, row in enumerate(reader, start=1):
             if len(row) != 1 + NUM_CANDIDATES:
                 raise ParseError(
                     f"{path}: row {i}: expected {1 + NUM_CANDIDATES} columns, got {len(row)}"
                 )
-            out.append(EvalInstance(tokenize(row[0]), tuple(tokenize(c) for c in row[1:])))
+            out.append(EvalInstance(tokens(row[0]), tuple(tokens(c) for c in row[1:])))
     return out
 
 

@@ -1,8 +1,9 @@
 """Model building blocks: embeddings, LSTM encoder, scorers, cross-convolution.
 
-All operations accept a single instance (rank-2 inputs, e.g. an embedded
-sequence of shape [dim, length]) or a batch (one extra leading axis) and run
-on the numerics tape, so gradients flow to every parameter they touch.  The
+The sequence operations accept a single instance (rank-2 inputs, e.g. an
+embedded sequence of shape [dim, length]) or a batch (one extra leading
+axis); ``gather_rows`` copies rows of a batch.  All of them run on the
+numerics tape, so gradients flow to every parameter they touch.  The
 module depends on ``numerics`` alone: lookups take plain id arrays, which
 ``models.prepare_pairs`` builds.
 
@@ -14,7 +15,8 @@ Conventions baked in here:
   * ``lstm_encode`` is one tape op with a hand-written backward through
     time (one input-projection matmul for all steps, then the recurrence in
     plain numpy), not a chain of per-step ops, so its cost does not grow
-    with the tape;
+    with the tape, and a sequence encodes to the same bits alone as in any
+    batch;
   * cross-convolution pools the k largest inner products per response word
     over context positions, with padded context columns masked out so they
     can never win the pooling.  The grid covers only the columns it is given
@@ -176,6 +178,22 @@ def embed_lookup(ids, table: EmbeddingTable) -> Tensor:
     return nm.custom_op(data, (matrix,), backward_fn)
 
 
+def gather_rows(x: Tensor, index) -> Tensor:
+    """Rows ``index`` of the [U x H] ``x``, as a [B x H] tensor.
+
+    Backward adds the gradient of every row taken into the row it was taken
+    from, so a row read by several outputs gets their sum.
+    """
+    index = np.asarray(index, dtype=np.int64)
+
+    def backward_fn(g):
+        grad = np.zeros_like(x.data)
+        np.add.at(grad, index, g)
+        return (grad,)
+
+    return nm.custom_op(x.data[index], (x,), backward_fn)
+
+
 def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
     """Final hidden state of an LSTM run over the first ``true_length`` columns.
 
@@ -199,6 +217,14 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
         raise ContractError(f"expected {batch} lengths, got shape {lengths.shape}")
     if lengths.max(initial=0) > max_cols:
         raise ContractError("true_length exceeds the sequence length")
+    rows = batch
+    if batch == 1:
+        # numpy sends one-row products to gemv, which rounds unlike the gemm a
+        # batch gets; a zero-length second row keeps a lone sequence's bits
+        # equal to its bits in any batch
+        data = np.concatenate([data, np.zeros_like(data)])
+        lengths = np.append(lengths, 0)
+        rows = 2
     dtype = data.dtype
     hidden = params.hidden_size
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))  # gate blocks
@@ -212,22 +238,26 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
     half[g_] = 1.0
     shift = np.full(4 * hidden, 0.5, dtype=dtype)
     shift[g_] = 0.0
+    # Both products take contiguous [in x 4H] weights: with a transposed view,
+    # OpenBLAS rounds products of fewer than ten rows unlike longer ones, and a
+    # row must encode to the same bits in any batch.
+    w_in_half_t = np.ascontiguousarray((w_in * half[:, None]).T)  # [N x 4H]
     w_rec_half_t = np.ascontiguousarray((w_rec * half[:, None]).T)  # [H x 4H]
     # full-shape copies: in-place ops on equal shapes skip numpy's broadcasting
-    half_rows, shift_rows = (np.broadcast_to(v, (batch, 4 * hidden)).copy() for v in (half, shift))
+    half_rows, shift_rows = (np.broadcast_to(v, (rows, 4 * hidden)).copy() for v in (half, shift))
 
     steps = int(lengths.max(initial=0))
-    xs = data[:, :, :steps].transpose(2, 0, 1).reshape(steps * batch, n_in)  # step-major rows
-    gates_seq = xs @ (w_in * half[:, None]).T
+    xs = data[:, :, :steps].transpose(2, 0, 1).reshape(steps * rows, n_in)  # step-major rows
+    gates_seq = xs @ w_in_half_t
     gates_seq += bias * half
-    gates_seq = gates_seq.reshape(steps, batch, 4 * hidden)  # each step's slice becomes its gates
+    gates_seq = gates_seq.reshape(steps, rows, 4 * hidden)  # each step's slice becomes its gates
     active = (lengths > np.arange(steps)[:, None])[:, :, None]  # [T x B x 1]
     keep = nm.records((x, params.w_in, params.w_rec, params.bias))
     if keep:  # the state entering each step, and tanh of each step's new cell
-        h_seq, c_seq, tanh_c_seq = (np.empty((steps, batch, hidden), dtype=dtype) for _ in range(3))
-    h = np.zeros((batch, hidden), dtype=dtype)
-    c = np.zeros((batch, hidden), dtype=dtype)
-    rec = np.empty((batch, 4 * hidden), dtype=dtype)
+        h_seq, c_seq, tanh_c_seq = (np.empty((steps, rows, hidden), dtype=dtype) for _ in range(3))
+    h = np.zeros((rows, hidden), dtype=dtype)
+    c = np.zeros((rows, hidden), dtype=dtype)
+    rec = np.empty((rows, 4 * hidden), dtype=dtype)
     for t in range(steps):
         gates = gates_seq[t]
         gates += np.matmul(h, w_rec_half_t, out=rec)
@@ -243,9 +273,10 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
 
     def backward_fn(g):
         d_pre = np.empty_like(gates_seq)
-        slope = np.empty((batch, 4 * hidden), dtype=dtype)
+        slope = np.empty((rows, 4 * hidden), dtype=dtype)
         candidate = 1.0 - 2.0 * shift  # 1 on the tanh block, 0 on the sigmoid blocks
-        dh = g.reshape(batch, hidden)
+        dh = np.zeros((rows, hidden), dtype=g.dtype)
+        dh[:batch] = g.reshape(batch, hidden)
         dc = np.zeros_like(dh)  # stays zero on the rows of ended sequences: only h is output
         for t in reversed(range(steps)):
             on, gates, tanh_c = active[t], gates_seq[t], tanh_c_seq[t]
@@ -261,16 +292,16 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
             d *= np.add(gates, candidate, out=slope)
             dh = np.where(on, d @ w_rec, dh)
             dc = dc_t * gates[:, f_]
-        d_rows = d_pre.reshape(steps * batch, 4 * hidden)
+        d_rows = d_pre.reshape(steps * rows, 4 * hidden)
         dx = None
         if x.requires_grad:
             dx = np.zeros(data.shape, dtype=dtype)
-            dx[:, :, :steps] = (d_rows @ w_in).reshape(steps, batch, n_in).transpose(1, 2, 0)
-            dx = dx.reshape(x.shape)
-        d_w_rec = d_rows.T @ h_seq.reshape(steps * batch, hidden)
+            dx[:, :, :steps] = (d_rows @ w_in).reshape(steps, rows, n_in).transpose(1, 2, 0)
+            dx = dx[:batch].reshape(x.shape)
+        d_w_rec = d_rows.T @ h_seq.reshape(steps * rows, hidden)
         return dx, d_rows.T @ xs, d_w_rec, d_rows.sum(axis=0)
 
-    out = h[0] if single else h
+    out = h[0] if single else h[:batch]
     return nm.custom_op(out, (x, params.w_in, params.w_rec, params.bias), backward_fn)
 
 

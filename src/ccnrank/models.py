@@ -19,6 +19,13 @@ high-band LSTM branch with a cross-convolution branch on a second table.
 With more than one branch, the raw scores combine through trainable
 ``branch_weights`` under one sigmoid.
 
+``prepare_pairs`` keeps one row of context ids per distinct context (a
+ranked instance's ten candidates share one), and ``forward_batch`` runs the
+context LSTM once per distinct context in the batch and gathers the
+encodings back to the pairs (``layers.gather_rows``, whose backward adds the
+pairs' gradients).  The cross-convolution grid is per pair, so that branch
+takes each pair's context ids.
+
 Checkpoints are a binary container: 8-byte magic ``CCNRANK1``, a 4-byte
 little-endian header length, a canonical-JSON header (format version,
 model config, vocabulary hash, ordered parameter manifest), then the raw
@@ -44,6 +51,7 @@ from .layers import (
     cross_convolution,
     dense_score,
     embed_lookup,
+    gather_rows,
     init_embedding_matrix,
     init_lstm_arrays,
     lstm_encode,
@@ -272,35 +280,53 @@ def randomize_parameters(model: RankingModel, rng, scale=0.5):
 class PreparedPairs:
     """Stacked band-filtered id columns for a list of (context, response) pairs.
 
-    ``select`` cuts every id column down to the longest true length among
-    the chosen rows (never below the column's floor in ``min_cols``), so the
-    layers see no padding column that every row has.  Filtered rows keep
-    their pads at the end, so the cut drops pads only.  The columns are
-    stored already cut for all the rows.
+    The context columns (``ctx_<band>``) hold one row per distinct context,
+    and ``context_of`` gives each pair its context's row; every other column
+    holds one row per pair.  ``select(rows)`` returns the chosen pairs'
+    columns, with the context columns cut to the distinct contexts those
+    pairs use (in order of first use), and each chosen pair's index into
+    them.  So ``forward_batch`` encodes a context once for all its
+    candidates and gathers the encoding back to the pairs.
+
+    ``select`` also cuts every id column down to the longest true length
+    among the rows it returns (never below the column's floor in
+    ``min_cols``), so the layers see no padding column that every row has.
+    Filtered rows keep their pads at the end, so the cut drops pads only.
+    The columns are stored already cut for all the rows.
     """
 
-    def __init__(self, columns, min_cols):
+    def __init__(self, columns, context_of, min_cols):
         self.columns = columns  # name -> (ids [n x W], lengths [n]), W <= max_len
+        self.context_of = context_of  # [pairs] row of each pair's context in the ctx_ columns
         self.min_cols = min_cols  # name -> fewest columns select may leave
-        self.columns = {name: (ids.copy(), lengths) for name, (ids, lengths) in self.select().items()}
+        columns, self.context_of = self.select()
+        self.columns = {name: (ids.copy(), lengths) for name, (ids, lengths) in columns.items()}
 
     def select(self, rows=None):
+        """(name -> (ids, lengths) of the chosen pairs, [pairs] index into the ctx_ rows)."""
+        rows = slice(None) if rows is None else rows
+        contexts, first, context_of = np.unique(self.context_of[rows], return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the contexts in order of first use
+        contexts = contexts[order]
         selected = {}
         for name, (ids, lengths) in self.columns.items():
-            if rows is not None:
-                ids, lengths = ids[rows], lengths[rows]
+            picked = contexts if name.startswith("ctx_") else rows
+            ids, lengths = ids[picked], lengths[picked]
             width = max(int(lengths.max(initial=0)), self.min_cols.get(name, 0))
             selected[name] = (ids[:, :width], lengths)
-        return selected
+        return selected, np.argsort(order)[context_of]
 
 
 def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
-    """Encode token pairs into the per-band id columns the architecture needs."""
+    """Encode token pairs into the per-band id columns the architecture needs;
+    each distinct context is encoded once."""
     if model.vocab is None:
         raise ContractError("model has no vocabulary attached")
     length, vocab = model.config.max_len, model.vocab
+    contexts = {}  # token tuple -> its row, in order of first appearance
+    context_of = np.array([contexts.setdefault(tuple(c), len(contexts)) for c, _ in pairs], dtype=np.int64)
     sides = {
-        "ctx": [vb.encode(c, vocab, length, vb.CONTEXT).ids for c, _ in pairs],
+        "ctx": [vb.encode(c, vocab, length, vb.CONTEXT).ids for c in contexts],
         "resp": [vb.encode(r, vocab, length, vb.RESPONSE).ids for _, r in pairs],
     }
     branches = BRANCHES[model.config.architecture]
@@ -310,17 +336,17 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
     bands = dict.fromkeys(band for _, band, *_ in branches)
     columns = {}
     for side, encoded in sides.items():
-        ids = np.array(encoded, dtype=np.int64).reshape(len(pairs), length)
+        ids = np.array(encoded, dtype=np.int64).reshape(len(encoded), length)
         for band in bands:
             columns[f"{side}_{band}"] = vb.filter_rows(ids, model.split, band)
     # cross-convolution pools k values per response word from the context columns
     min_cols = {f"ctx_{band}": model.config.k for kind, band, *_ in branches if kind == CCN}
-    return PreparedPairs(columns, min_cols)
+    return PreparedPairs(columns, context_of, min_cols)
 
 
 def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Tensor:
     """Probabilities for the prepared rows; differentiable w.r.t. model parameters."""
-    cols = prepared.select(rows)
+    cols, context_of = prepared.select(rows)
     branches = BRANCHES[model.config.architecture]
     total = None
     for i, (kind, band, table, encoder, head) in enumerate(branches):
@@ -333,15 +359,15 @@ def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Te
             (ctx_ids, ctx_len), (resp_ids, resp_len) = cols[f"ctx_{band}"], cols[f"resp_{band}"]
             if kind == PAIR:
                 enc = model.lstm(encoder)
-                c = lstm_encode(embed_lookup(ctx_ids, emb), ctx_len, enc)
+                c = lstm_encode(embed_lookup(ctx_ids, emb), ctx_len, enc)  # one row per context
                 r = lstm_encode(embed_lookup(resp_ids, emb), resp_len, enc)
-                score = bilinear_score(c, r, model.params[head])
-            else:
+                score = bilinear_score(gather_rows(c, context_of), r, model.params[head])
+            else:  # the grid is per pair: each pair takes its context's ids
                 score = cross_convolution(
-                    embed_lookup(ctx_ids, emb),
+                    embed_lookup(ctx_ids[context_of], emb),
                     embed_lookup(resp_ids, emb),
                     model.ccn(head),
-                    context_length=ctx_len,
+                    context_length=ctx_len[context_of],
                     response_length=resp_len,
                 )
         if len(branches) > 1:  # weighted sum of the raw branch scores

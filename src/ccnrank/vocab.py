@@ -77,6 +77,8 @@ def save_vocab(vocab: Vocabulary, path):
 
 
 def load_vocab(path) -> Vocabulary:
+    """Read a ``save_vocab`` file; a malformed line, a count that is not a
+    non-negative integer or a repeated word raises ContractError."""
     counts = {}
     ordered = []
     with open(path, encoding="utf-8") as f:
@@ -87,6 +89,10 @@ def load_vocab(path) -> Vocabulary:
             word, sep, count = line.partition("\t")
             if not sep or not word:
                 raise ContractError(f"{path}: line {lineno}: expected 'word<TAB>count'")
+            if not (count.isascii() and count.isdigit()):
+                raise ContractError(f"{path}: line {lineno}: count {count!r} is not a non-negative integer")
+            if word in counts:
+                raise ContractError(f"{path}: line {lineno}: duplicate word {word!r}")
             counts[word] = int(count)
             ordered.append(word)
     word_to_id = {w: i + 2 for i, w in enumerate(ordered)}

@@ -210,6 +210,21 @@ class TestTrain:
         assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
         assert not (run_in_tmpdir / "model.ckpt.vocab.txt").exists()
 
+    @pytest.mark.parametrize("text,problem", [("hello\tabc\n", "count 'abc'"),
+                                              ("hello\t3\nhello\t2\n", "duplicate word 'hello'")],
+                             ids=["non-integer-count", "duplicate-word"])
+    def test_bad_vocab_file_is_usage_error(self, run_in_tmpdir, text, problem, capsys):
+        data = gen(run_in_tmpdir)
+        vocab = run_in_tmpdir / "bad.vocab.txt"
+        vocab.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--vocab", str(vocab)))
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{vocab}: line" in err and problem in err
+        assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
+        assert not (run_in_tmpdir / "model.ckpt.log").exists()
+
     def test_non_numeric_config_value_is_usage_error(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)
         cfg = run_in_tmpdir / "train.cfg"
@@ -283,6 +298,16 @@ class TestEvaluate:
              str(run_in_tmpdir / "other.ckpt.vocab.txt"), "--eval", str(data / "eval.csv")]
         )
         assert rc == EXIT_USAGE
+
+    def test_bad_vocab_file_is_usage_error(self, run_in_tmpdir, capsys):
+        data, ckpt, _ = self.make_model(run_in_tmpdir)
+        vocab = run_in_tmpdir / "bad.vocab.txt"
+        vocab.write_text("hello\t3\nhello\t2\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["evaluate", "--models", str(ckpt), "--vocab", str(vocab), "--eval", str(data / "eval.csv")])
+        assert rc == EXIT_USAGE
+        assert f"{vocab}: line 2: duplicate word 'hello'" in capsys.readouterr().err
+        assert not (run_in_tmpdir / "run-manifest.json").exists()
 
     def test_nan_weights_are_numeric_failure(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)

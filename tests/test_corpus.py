@@ -88,6 +88,15 @@ class TestTrainFile:
         loaded = load_train(path)
         assert loaded[0].context == ("hi", ",", "there")
 
+    def test_tokens_are_tokenize_output_shared_within_the_load(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('Context,Utterance,Label\n"Hi, there!",hi you,1\n"Hi, there!",there,0\n')
+        first, second = load_train(path)
+        assert first.context == tokenize("Hi, there!") and type(first.context) is tuple
+        assert first.response == tokenize("hi you")
+        assert second.context is first.context  # one tuple for a text read twice
+        assert second.response[0] is first.context[2]  # one string for a token read twice
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("A,B,C\n")

@@ -13,6 +13,7 @@ from ccnrank.layers import (
     cross_convolution,
     dense_score,
     embed_lookup,
+    gather_rows,
     init_embedding_matrix,
     init_lstm_arrays,
     kmax,
@@ -231,6 +232,65 @@ class TestLstmEncode:
         assert out.dtype == np.float32
         backward(nm.tsum(nm.tsum(out, axis=1)))
         assert {t.grad.dtype for _, t in ps.items()} == {np.dtype(np.float32)}
+
+
+    @pytest.mark.parametrize("steps", [1, 3, 70])
+    def test_a_row_encodes_to_the_same_bits_alone_and_in_any_batch(self, steps):
+        # at the models' sizes numpy's one-row products (gemv) and OpenBLAS's
+        # short products with a transposed operand round unlike a long batch's
+        rng = np.random.default_rng(11)
+        params, ps = make_lstm(32, 32, rng)
+        for name in ps.names():
+            ps[name].data = rng.uniform(-0.5, 0.5, size=ps[name].shape)
+        xs = rng.normal(size=(40, 32, steps))
+        lengths = rng.integers(0, steps + 1, size=40)
+        lengths[0] = steps
+        full = lstm_encode(Tensor(xs), lengths, params).data
+        for rows in (1, 2, 3, 9, 10, 26):
+            got = lstm_encode(Tensor(xs[:rows]), lengths[:rows], params).data
+            assert got.tobytes() == full[:rows].tobytes(), rows
+        single = lstm_encode(Tensor(xs[0]), int(lengths[0]), params).data
+        assert single.tobytes() == full[0].tobytes()
+
+    def test_one_row_batch_gradients(self):
+        rng = np.random.default_rng(12)
+        params, ps = make_lstm(3, 4, rng)
+        x = ps.add("x", rng.normal(size=(1, 3, 5)))
+        weights = Tensor(rng.normal(size=(1, 4)))
+
+        def loss():
+            return nm.tsum(nm.tsum(nm.mul(lstm_encode(x, np.array([4]), params), weights), axis=1))
+
+        report = finite_diff_check(loss, ps, max_coords_per_param=20)
+        assert report.passed, report
+        backward(loss())
+        assert x.grad.shape == (1, 3, 5) and not x.grad[:, :, 4].any()
+
+
+class TestGatherRows:
+    def test_rows_in_index_order(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(gather_rows(x, [2, 0, 2]).data, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
+
+    def test_gradient_adds_every_read_of_a_row(self):
+        ps = ParameterSet()
+        x = ps.add("x", np.zeros((3, 2)))
+        g = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0], [1000.0, 2000.0]])
+        backward(nm.tsum(nm.tsum(nm.mul(gather_rows(x, [0, 2, 0, 0]), Tensor(g)), axis=1)))
+        np.testing.assert_array_equal(x.grad, [[1101.0, 2202.0], [0.0, 0.0], [10.0, 20.0]])
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        ps = ParameterSet()
+        x = ps.add("x", rng.normal(size=(3, 4)))
+        weights = Tensor(rng.normal(size=(5, 4)))
+
+        def loss():
+            y = gather_rows(x, [1, 1, 0, 2, 1])
+            return nm.tsum(nm.mul(nm.mul(y, y), weights))
+
+        report = finite_diff_check(loss, ps)
+        assert report.passed, report
 
 
 class TestScorers:

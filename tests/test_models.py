@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccnrank.corpus import TrainInstance
+from ccnrank import vocab as vb
+from ccnrank.corpus import SyntheticConfig, TrainInstance, generate_splits
 from ccnrank.models import (
     randomize_parameters,
     ARCHITECTURES,
@@ -234,13 +235,17 @@ class TestPreparePairs:
             expected |= {"common_high", "ctx_low", "resp_low", "common_low"}
         prepared = prepare_pairs(model, self.PAIRS)
         assert set(prepared.columns) == expected
+        # one context row per distinct context: the two empty contexts share row 0
+        np.testing.assert_array_equal(prepared.context_of, [0, 1, 0, 2, 3])
         for name, (ids, lengths) in prepared.columns.items():
             side, band = name.split("_")
+            row_of = prepared.context_of if side == "ctx" else np.arange(len(self.PAIRS))
             # stored cut to the widest row, never below ccn_lstm's k context columns
             floor = 2 if (arch == "ccn_lstm" and name == "ctx_high") else 0
             width = max(lengths.max(), floor)
-            assert ids.shape == (len(self.PAIRS), width) and ids.dtype == np.int64, name
-            for row, (c, r) in enumerate(self.PAIRS):
+            assert ids.shape == (row_of.max() + 1, width) and ids.dtype == np.int64, name
+            for pair, (c, r) in enumerate(self.PAIRS):
+                row = row_of[pair]
                 ref = filter_sequence(encoders[side](c, r), model.split, band)
                 np.testing.assert_array_equal(ids[row], ref.ids[:width], err_msg=f"{name} row {row}")
                 assert not ref.ids[width:].any(), (name, row)
@@ -354,7 +359,7 @@ class TestEndToEndGradients:
             (("hi3", "hi2", "hi1", "hi0"), ("hi1", "hi2", "hi3")),
         ]
         prepared = prepare_pairs(model, pairs)
-        assert [ids.shape[1] for ids, _ in prepared.select().values()] == [4, 3]
+        assert [ids.shape[1] for ids, _ in prepared.select()[0].values()] == [4, 3]
         labels = Tensor(np.array([1.0, 0.0, 1.0, 0.0]))
 
         def loss():
@@ -371,7 +376,7 @@ def full_width(prepared, max_len):
         name: (np.pad(ids, ((0, 0), (0, max_len - ids.shape[1]))), lengths)
         for name, (ids, lengths) in prepared.columns.items()
     }
-    return PreparedPairs(columns, {name: max_len for name in columns})
+    return PreparedPairs(columns, prepared.context_of, {name: max_len for name in columns})
 
 
 class TestBatchTrim:
@@ -381,11 +386,13 @@ class TestBatchTrim:
         pairs = [(("hi0", "lo0"), ("hi1", "hi2", "lo1")), (("hi1",), ()), (("lo0", "hi2", "lo1"), ("hi3",))]
         prepared = prepare_pairs(model, pairs)
         for rows in (None, [1], np.array([2, 0])):
-            for name, (ids, lengths) in prepared.select(rows).items():
+            selected, context_of = prepared.select(rows)
+            np.testing.assert_array_equal(context_of, np.arange(3 if rows is None else len(rows)))
+            for name, (ids, lengths) in selected.items():
                 floor = 3 if (arch == "ccn_lstm" and name == "ctx_high") else 0
                 assert ids.shape == (len(lengths), max(lengths.max(initial=0), floor)), (name, rows)
                 full_ids, full_lengths = prepared.columns[name]
-                picked = slice(None) if rows is None else rows
+                picked = slice(None) if rows is None else rows  # distinct contexts: row i is pair i's
                 np.testing.assert_array_equal(lengths, full_lengths[picked])
                 np.testing.assert_array_equal(ids, full_ids[picked][:, : ids.shape[1]])
                 assert not full_ids[picked][:, ids.shape[1] :].any()  # only pads were cut
@@ -423,6 +430,129 @@ class TestBatchTrim:
         np.testing.assert_array_equal(p_trim, p_full)
         for name, grad in g_full.items():
             np.testing.assert_allclose(g_trim[name], grad, rtol=1e-13, atol=1e-300, err_msg=name)
+
+
+def distinct_contexts(prepared):
+    """The same pairs with each pair given its own copy of its context's rows."""
+    columns = {
+        name: (ids[prepared.context_of], lengths[prepared.context_of]) if name.startswith("ctx_")
+        else (ids, lengths)
+        for name, (ids, lengths) in prepared.columns.items()
+    }
+    return PreparedPairs(columns, np.arange(len(prepared.context_of)), prepared.min_cols)
+
+
+class TestSharedContexts:
+    """prepare_pairs keeps one row per distinct context; forward_batch encodes
+    it once and gathers the encoding back to every pair that uses it."""
+
+    # three contexts, the empty one among them, shared by seven pairs in interleaved order
+    A, EMPTY, C = ("hi0", "lo0", "hi1", "hi2"), (), ("lo1", "hi3")
+    PAIRS = [(A, ("hi1", "lo0")), (EMPTY, ("hi2",)), (A, ("hi3", "hi0", "lo1")), (C, ("lo1",)),
+             (A, ()), (C, ("hi0", "hi3")), (EMPTY, ("lo2", "hi1"))]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_shared_contexts_score_as_distinct_ones(self, arch, k):
+        model, _ = build_model(tiny_config(arch, max_len=6, k=k, hidden_size=3), tiny_vocab())
+        randomize_parameters(model, np.random.default_rng(6))
+        prepared = prepare_pairs(model, self.PAIRS)
+        assert prepared.columns["ctx_high"][0].shape[0] == 3
+        for rows in (None, np.array([4, 0, 6, 2, 1])):
+            labels = np.arange(len(self.PAIRS) if rows is None else len(rows)) % 2.0
+            results = []
+            for batch in (prepared, distinct_contexts(prepared)):
+                model.params.zero_gradients()
+                p = forward_batch(model, batch, rows)
+                backward(batch_loss(p, labels))
+                results.append((p.data, {name: t.grad.copy() for name, t in model.params.items()}))
+            (p_shared, g_shared), (p_distinct, g_distinct) = results
+            assert p_shared.tobytes() == p_distinct.tobytes(), rows
+            for name, grad in g_distinct.items():
+                np.testing.assert_allclose(g_shared[name], grad, rtol=1e-13, atol=1e-300, err_msg=name)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_gradients_through_a_context_shared_by_three_pairs(self, arch):
+        # context lengths 3, 0 and 1 (one word per band)
+        model, _ = build_model(tiny_config(arch, max_len=4), tiny_vocab())
+        randomize_parameters(model, np.random.default_rng(8))
+        shared, empty, short = ("hi0", "lo0", "hi1"), (), ("lo1", "hi2")
+        pairs = [(shared, ("hi1", "lo0")), (empty, ("hi2",)), (shared, ("hi3", "hi0")),
+                 (short, ("lo1", "hi2")), (shared, ("lo0",))]
+        prepared = prepare_pairs(model, pairs)
+        np.testing.assert_array_equal(prepared.context_of, [0, 1, 0, 2, 0])
+        labels = Tensor(np.array([1.0, 0.0, 1.0, 0.0, 1.0]))
+
+        def loss():
+            d = sub(forward_batch(model, prepared), labels)
+            return mean(mul(d, d))
+
+        report = finite_diff_check(loss, model.params, h=1e-4, max_coords_per_param=8)
+        assert report.passed, (arch, report.worst_parameter, report.max_relative_error)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_each_distinct_context_is_encoded_once(self, arch, monkeypatch):
+        model, _ = build_model(tiny_config(arch, max_len=6), tiny_vocab())
+        sides = []
+        encode_one = vb.encode
+
+        def counting_encode(*args, **kwargs):
+            sides.append(args[3])
+            return encode_one(*args, **kwargs)
+
+        monkeypatch.setattr(vb, "encode", counting_encode)
+        prepare_pairs(model, self.PAIRS)
+        assert sides.count(CONTEXT) == 3
+        # responses, and for mfcw_lstm each pair's common words, stay per pair
+        assert sides.count(RESPONSE) == len(self.PAIRS) * (2 if arch == "mfcw_lstm" else 1)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_select_keeps_only_the_contexts_of_the_chosen_pairs(self, arch):
+        model, _ = build_model(tiny_config(arch, max_len=6, k=3), tiny_vocab())
+        prepared = prepare_pairs(model, self.PAIRS)
+        bands = ("high", "low") if arch == "mfcw_lstm" else ("high",)
+        floor = 3 if arch == "ccn_lstm" else 0
+        # (pairs, their distinct contexts in order of first use, each pair's index into those)
+        for rows, contexts, context_of in (([1, 3], [1, 2], [0, 1]), ([4, 0, 6], [0, 1], [0, 0, 1]),
+                                           ([5, 3], [2], [0, 0]), ([6], [1], [0])):
+            selected, got = prepared.select(np.array(rows))
+            np.testing.assert_array_equal(got, context_of)
+            for band in bands:
+                ids, lengths = selected[f"ctx_{band}"]
+                full_ids, full_lengths = prepared.columns[f"ctx_{band}"]
+                np.testing.assert_array_equal(lengths, full_lengths[contexts])
+                assert ids.shape == (len(contexts), max(lengths.max(), floor)), (rows, band)
+                np.testing.assert_array_equal(ids, full_ids[contexts][:, : ids.shape[1]])
+                assert not full_ids[contexts][:, ids.shape[1] :].any()  # only pads were cut
+
+
+class TestRequestEqualsBatch:
+    """A request, one instance's ten pairs through score_pairs, scores bit for
+    bit as the batch path's 256-pair batches score the same pairs.
+
+    Only dual_lstm is held to this.  mfcw_lstm's common-word heads
+    (``dense_score``) and ccn_lstm's dense head are [B x n]·[n x 1] products,
+    which numpy sends to OpenBLAS gemv; gemv rounds the last B mod 4 rows of a
+    product unlike the others, so a request's candidates 8 and 9 can differ
+    from the batch path in the last bit.  That part of batch invariance is
+    still open; the LSTM encodings of every architecture are exact (see
+    tests/test_layers.py).  A batch of one pair is left out for the same
+    reason: its bilinear product is a one-row gemv.
+    """
+
+    @pytest.mark.parametrize("turns,max_len", [(2, 40), (8, 160)])
+    def test_dual_lstm_requests_score_as_the_batch(self, turns, max_len):
+        train, evals, _ = generate_splits(3, 40, 26, 1, SyntheticConfig(context_turns=turns))
+        config = ModelConfig("dual_lstm", embedding_dim=32, hidden_size=32, max_len=max_len, seed=1)
+        model, _ = build_model(config, build_vocab(train))
+        randomize_parameters(model, np.random.default_rng(7))
+        pairs = [(inst.context, cand) for inst in evals for cand in inst.candidates]
+        batch = model.score_pairs(pairs)  # batches of 256 and 4 pairs
+        for instances in (1, 10):
+            size = 10 * instances
+            for start in range(0, len(pairs), size):
+                got = model.score_pairs(pairs[start : start + size])
+                assert got.tobytes() == batch[start : start + size].tobytes(), (instances, start)
 
 
 def tape_nodes(output):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -76,6 +77,21 @@ class TestVocabFile:
         assert loaded.word_to_id == vocab.word_to_id
         assert loaded.counts == vocab.counts
         assert loaded.content_hash() == vocab.content_hash()
+
+
+    @pytest.mark.parametrize("count", ["abc", "-1", "3.0", ""])
+    def test_count_must_be_a_non_negative_integer(self, tmp_path, count):
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"a\t3\nhello\t{count}\n", encoding="utf-8")
+        with pytest.raises(ContractError, match=re.escape(f"{path}: line 2: count")):
+            load_vocab(path)
+
+    def test_duplicate_word_is_rejected(self, tmp_path):
+        # it would load as a second id for one word, the first left an orphan
+        path = tmp_path / "vocab.txt"
+        path.write_text("hello\t3\nworld\t2\nhello\t2\n", encoding="utf-8")
+        with pytest.raises(ContractError, match=re.escape(f"{path}: line 3: duplicate word 'hello'")):
+            load_vocab(path)
 
 
 class TestFrequencySplit:

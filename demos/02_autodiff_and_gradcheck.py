@@ -18,10 +18,10 @@ rng = np.random.default_rng(0)
 ps = ParameterSet()
 w_in, w_rec, bias = init_lstm_arrays(input_dim=5, hidden_size=6, rng=rng)
 params = LstmParams(w_in=ps.add("w_in", w_in), w_rec=ps.add("w_rec", w_rec), bias=ps.add("bias", bias))
-x = ps.add("x", rng.normal(size=(5, 9)))
+x = ps.add("x", rng.normal(size=(1, 5, 9)))  # one sequence: a one-row batch [B x N x L]
 
 def loss():
-    h = lstm_encode(x, 9, params)
+    h = lstm_encode(x, np.array([9]), params)
     return nm.tsum(nm.mul(h, h))
 
 report = finite_diff_check(loss, ps, h=1e-5, tolerance=1e-4)

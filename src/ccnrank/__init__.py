@@ -58,7 +58,7 @@ from .vocab import (
     common_words,
     cwf_score,
     encode,
-    filter_sequence,
+    filter_rows,
     load_vocab,
     save_vocab,
     split_by_frequency,

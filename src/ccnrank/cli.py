@@ -237,7 +237,9 @@ def cmd_train(args):
         clip_norm=args.clip_norm,
         log_path=log_path,
     )
-    vocabulary = vb.load_vocab(args.vocab) if args.vocab else None  # a bad file fails before any write
+    # bad --vocab or --embeddings files fail before any write
+    vocabulary = vb.load_vocab(args.vocab) if args.vocab else None
+    pretrained = load_word_vectors(args.embeddings, dim=args.embedding_dim) if args.embeddings else None
     write_manifest(
         args.out + ".manifest.json",
         "train",
@@ -264,9 +266,6 @@ def cmd_train(args):
         vocabulary = vb.build_vocab(train_set)
         vb.save_vocab(vocabulary, vocab_out)
         _progress(f"built vocabulary ({vocabulary.size} ids) -> {vocab_out}")
-    pretrained = None
-    if args.embeddings:
-        pretrained = load_word_vectors(args.embeddings, dim=args.embedding_dim)
     model, coverage = models.build_model(config, vocabulary, pretrained_vectors=pretrained)
     if args.embeddings:
         _progress(f"pretrained vectors cover {coverage}/{len(vocabulary.words_by_id)} words")

@@ -1,11 +1,11 @@
 """Model building blocks: embeddings, LSTM encoder, scorers, cross-convolution.
 
-The sequence operations accept a single instance (rank-2 inputs, e.g. an
-embedded sequence of shape [dim, length]) or a batch (one extra leading
-axis); ``gather_rows`` copies rows of a batch.  All of them run on the
-numerics tape, so gradients flow to every parameter they touch.  The
-module depends on ``numerics`` alone: lookups take plain id arrays, which
-``models.prepare_pairs`` builds.
+The sequence operations take batches only: a sequence is a row, e.g. an
+[B x L] id matrix, embedded to [B x N x L] and encoded to [B x H], and a
+lone sequence is a one-row batch.  ``gather_rows`` copies rows of a batch.
+All of them run on the numerics tape, so gradients flow to every parameter
+they touch.  The module depends on ``numerics`` alone: lookups take plain
+id arrays, which ``models.prepare_pairs`` builds.
 
 Conventions baked in here:
   * embedding row 0 is the padding vector: all-zero, and the lookup never
@@ -111,7 +111,11 @@ def init_lstm_arrays(input_dim, hidden_size, rng, limit=0.08):
 
 
 def load_word_vectors(path, dim=None) -> dict:
-    """Read a text embedding file: one ``word v1 v2 ... vN`` line per word."""
+    """Read a text embedding file: one ``word v1 v2 ... vN`` line per word.
+
+    A wrong value count, a value that is not a number and a non-finite value
+    raise ContractError naming the file and line.
+    """
     vectors = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -123,7 +127,13 @@ def load_word_vectors(path, dim=None) -> dict:
                 raise ContractError(
                     f"{path}: line {lineno}: expected {dim} values, got {len(values)}"
                 )
-            vectors[word] = np.asarray(values, dtype=np.float64)
+            try:
+                vector = np.asarray(values, dtype=np.float64)
+            except ValueError as err:
+                raise ContractError(f"{path}: line {lineno}: {err}") from None
+            if not np.isfinite(vector).all():
+                raise ContractError(f"{path}: line {lineno}: non-finite value for {word!r}")
+            vectors[word] = vector
     return vectors
 
 
@@ -151,11 +161,11 @@ def apply_pretrained(matrix: np.ndarray, vocab, vectors: dict) -> int:
 
 
 def embed_lookup(ids, table: EmbeddingTable) -> Tensor:
-    """Columns of the result are the embeddings of the ids, pads map to zero.
+    """Embeddings of a [B x L] id batch as [B x N x L]: column j of row b is
+    the embedding of ids[b, j], and pads map to zero.
 
-    Accepts id vectors [L] (returns [N x L]) or id batches [B x L]
-    (returns [B x N x L]).  Backward scatters into the looked-up rows only,
-    never into the padding row.
+    Backward scatters into the looked-up rows only, never into the padding
+    row.
     """
     arr = np.asarray(ids, dtype=np.int64)
     if arr.min(initial=0) < 0 or arr.max(initial=0) >= table.vocab_size:
@@ -197,10 +207,10 @@ def gather_rows(x: Tensor, index) -> Tensor:
 def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
     """Final hidden state of an LSTM run over the first ``true_length`` columns.
 
-    ``x`` is [N x L] with an int length (returns [H]) or [B x N x L] with a
-    length vector (returns [B x H]).  Zero-length sequences encode to the
-    zero vector; padding beyond the true length never affects the output
-    and receives exactly zero gradient.  The result has ``x``'s dtype.
+    ``x`` is [B x N x L] with a [B] length vector; returns [B x H].
+    Zero-length sequences encode to the zero vector; padding beyond the true
+    length never affects the output and receives exactly zero gradient.  The
+    result has ``x``'s dtype.
 
     The whole recurrence is one tape op with a hand-written backward
     (backpropagation through time): one matmul projects the inputs of every
@@ -209,9 +219,10 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
     state forward unchanged.  Activations are kept only when the tape
     records the op, so the no_grad serving path stores none.
     """
-    single = x.ndim == 2
-    data = x.data[None] if single else x.data
-    lengths = np.asarray([int(true_length)] if single else true_length, dtype=np.int64)
+    if x.ndim != 3:
+        raise ShapeError(f"lstm_encode expects a [B x N x L] batch, got shape {x.shape}")
+    data = x.data
+    lengths = np.asarray(true_length, dtype=np.int64)
     batch, n_in, max_cols = data.shape
     if lengths.shape != (batch,):
         raise ContractError(f"expected {batch} lengths, got shape {lengths.shape}")
@@ -301,52 +312,24 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
         d_w_rec = d_rows.T @ h_seq.reshape(steps * rows, hidden)
         return dx, d_rows.T @ xs, d_w_rec, d_rows.sum(axis=0)
 
-    out = h[0] if single else h[:batch]
-    return nm.custom_op(out, (x, params.w_in, params.w_rec, params.bias), backward_fn)
+    return nm.custom_op(h[:batch], (x, params.w_in, params.w_rec, params.bias), backward_fn)
 
 
 def bilinear_score(c: Tensor, r: Tensor, weight: Tensor) -> Tensor:
-    """c^T W r for the [H x H] ``weight`` W, batched over rows when given [B x H] inputs."""
-    single = c.ndim == 1
-    if single:
-        c = c.reshape(1, c.shape[0])
-        r = r.reshape(1, r.shape[0])
-    if c.shape != r.shape or c.shape[1] != weight.shape[0]:
+    """c^T W r per row of the [B x H] ``c`` and ``r``, for the [H x H] ``weight`` W; returns [B]."""
+    if c.ndim != 2 or c.shape != r.shape or c.shape[1] != weight.shape[0]:
         raise ShapeError(
             f"bilinear_score: shapes {c.shape}, {r.shape}, weight {weight.shape}"
         )
-    scores = nm.tsum(nm.mul(nm.matmul(c, weight), r), axis=1)
-    return scores.reshape(()) if single else scores
+    return nm.tsum(nm.mul(nm.matmul(c, weight), r), axis=1)
 
 
 def dense_score(h: Tensor, weight: Tensor) -> Tensor:
-    """Inner product with the [H] scorer ``weight``, batched over rows."""
-    single = h.ndim == 1
-    if single:
-        h = h.reshape(1, h.shape[0])
+    """Inner product of each row of the [B x H] ``h`` with the [H] scorer ``weight``; returns [B]."""
     dim = weight.shape[0]
-    if h.shape[1] != dim:
+    if h.ndim != 2 or h.shape[1] != dim:
         raise ShapeError(f"dense_score: input {h.shape} vs weight {weight.shape}")
-    scores = nm.matmul(h, weight.reshape(dim, 1)).reshape(h.shape[0])
-    return scores.reshape(()) if single else scores
-
-
-def kmax(values, k, n_valid=None) -> Tensor:
-    """The k largest entries in descending order (ties: first occurrence).
-
-    ``n_valid`` limits the candidates to a leading prefix (non-pad entries);
-    when fewer than k are available, remaining slots are zero and carry no
-    gradient.
-    """
-    if k < 1:
-        raise ContractError("kmax requires k >= 1")
-    t = values if isinstance(values, Tensor) else Tensor(np.asarray(values, dtype=np.float64))
-    if t.ndim != 1:
-        raise ShapeError(f"kmax expects a rank-1 sequence, got shape {t.shape}")
-    n = t.shape[0]
-    valid = n if n_valid is None else int(n_valid)
-    pooled = kmax_pool(t.reshape(1, 1, n), k, np.asarray([valid]))
-    return pooled.reshape(k)
+    return nm.matmul(h, weight.reshape(dim, 1)).reshape(h.shape[0])
 
 
 def kmax_pool(scores: Tensor, k, col_valid, row_valid=None, out_rows=None) -> Tensor:
@@ -402,23 +385,21 @@ def cross_convolution(
 ):
     """All pairwise word inner products, k-max pooled per response word, densed.
 
-    Inputs are embedded sequences [N x Lc] and [N x Lr] (or batches
-    [B x N x Lc], [B x N x Lr]); entry (i, j) of the inner-product grid is
-    response word i against context word j.  The dense head has k*L weights
-    for L response slots; a response may be narrower than L (a batch
-    trimmed to its longest true length), and the slots beyond its columns
-    pool to zeros.  Padded context columns (at or beyond
-    ``context_length``) are excluded from pooling, and padded response rows
-    (at or beyond ``response_length``) pool to gradient-free zeros, so
-    padding influences neither the score nor any gradient.  Pooled values
-    are concatenated in response order and fed to the dense head.  Returns
-    the raw score; the model combines it with its other branch under one
-    sigmoid.
+    Inputs are embedded batches [B x N x Lc] and [B x N x Lr]; entry (i, j)
+    of a row's inner-product grid is response word i against context word j.
+    The dense head has k*L weights for L response slots; a response may be
+    narrower than L (a batch trimmed to its longest true length), and the
+    slots beyond its columns pool to zeros.  Padded context columns (at or
+    beyond ``context_length``) are excluded from pooling, and padded
+    response rows (at or beyond ``response_length``) pool to gradient-free
+    zeros, so padding influences neither the score nor any gradient.  Pooled
+    values are concatenated in response order and fed to the dense head.
+    Returns the [B] raw scores; the model combines them with its other
+    branch under one sigmoid.
     """
-    single = context_emb.ndim == 2
-    if single:
-        context_emb = context_emb.reshape(1, *context_emb.shape)
-        response_emb = response_emb.reshape(1, *response_emb.shape)
+    if context_emb.ndim != 3 or response_emb.ndim != 3:
+        raise ShapeError(f"cross_convolution expects [B x N x L] batches, got "
+                         f"{context_emb.shape} and {response_emb.shape}")
     b, _, ctx_cols = context_emb.shape
     resp_cols = response_emb.shape[2]
     if params.k > ctx_cols:
@@ -428,17 +409,10 @@ def cross_convolution(
         raise ShapeError(
             f"dense weight has {kl} entries, needs k*L with k={params.k} and L >= {resp_cols}"
         )
-    if context_length is None:
-        ctx_valid = np.full(b, ctx_cols, dtype=np.int64)
-    else:
-        ctx_valid = np.atleast_1d(np.asarray(context_length, dtype=np.int64))
-    if response_length is None:
-        resp_valid = None
-    else:
-        resp_valid = np.atleast_1d(np.asarray(response_length, dtype=np.int64))
+    ctx_valid = np.full(b, ctx_cols, dtype=np.int64) if context_length is None else context_length
 
     grid = nm.matmul(response_emb.transpose_last(), context_emb)  # [B x Lr x Lc]
-    pooled = kmax_pool(grid, params.k, ctx_valid, resp_valid, out_rows=kl // params.k)  # [B, kL]
+    pooled = kmax_pool(grid, params.k, ctx_valid, response_length, out_rows=kl // params.k)  # [B, kL]
     score = nm.add(
         nm.matmul(pooled, params.weight.reshape(kl, 1)).reshape(b), params.bias
     )
@@ -447,4 +421,4 @@ def cross_convolution(
             nm.matmul(pooled, params.weight2.reshape(kl, 1)).reshape(b), params.bias2
         )
         score = nm.add(score.sigmoid(), second)
-    return score.reshape(()) if single else score
+    return score

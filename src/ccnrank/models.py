@@ -318,25 +318,28 @@ class PreparedPairs:
 
 
 def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
-    """Encode token pairs into the per-band id columns the architecture needs;
-    each distinct context is encoded once."""
+    """Encode token pairs into the per-band id columns the architecture needs.
+
+    One ``vocab.encode`` call per side (the distinct contexts, the responses
+    and, for common-word branches, each pair's common words) and one
+    ``filter_rows`` call per side and band; each distinct context is encoded
+    once."""
     if model.vocab is None:
         raise ContractError("model has no vocabulary attached")
     length, vocab = model.config.max_len, model.vocab
     contexts = {}  # token tuple -> its row, in order of first appearance
     context_of = np.array([contexts.setdefault(tuple(c), len(contexts)) for c, _ in pairs], dtype=np.int64)
     sides = {
-        "ctx": [vb.encode(c, vocab, length, vb.CONTEXT).ids for c in contexts],
-        "resp": [vb.encode(r, vocab, length, vb.RESPONSE).ids for _, r in pairs],
+        "ctx": vb.encode(list(contexts), vocab, length, vb.CONTEXT),
+        "resp": vb.encode([r for _, r in pairs], vocab, length, vb.RESPONSE),
     }
     branches = BRANCHES[model.config.architecture]
     if any(kind == COMMON for kind, *_ in branches):
         commons = [vb.common_words(c, r) for c, r in pairs]
-        sides["common"] = [vb.encode(t, vocab, length, vb.RESPONSE).ids for t in commons]
+        sides["common"] = vb.encode(commons, vocab, length, vb.RESPONSE)
     bands = dict.fromkeys(band for _, band, *_ in branches)
     columns = {}
-    for side, encoded in sides.items():
-        ids = np.array(encoded, dtype=np.int64).reshape(len(encoded), length)
+    for side, (ids, _) in sides.items():
         for band in bands:
             columns[f"{side}_{band}"] = vb.filter_rows(ids, model.split, band)
     # cross-convolution pools k values per response word from the context columns

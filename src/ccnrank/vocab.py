@@ -5,7 +5,11 @@ tokens; real words get dense ids from 2 upward (descending train-set count,
 ties broken lexicographically).  ``FrequencySplit`` partitions real words
 into a high band (count > threshold) and a low band (count <= threshold);
 out-of-vocabulary tokens are treated as low-band, being by definition rare.
-Its boolean id->high table lets ``filter_rows`` band-filter [n x L] id matrices.
+
+Every sequence is a row: ``encode`` turns a list of token sequences into an
+[n x L] id matrix and its [n] true lengths, and ``filter_rows`` band-filters
+such a matrix (through the split's boolean id->high table) into the same
+pair of arrays.
 
 The CWF score of a (context, response) pair is the sum of 1/n_w over the
 common word types, where n_w is the word's occurrence count in the train
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -44,9 +49,6 @@ class Vocabulary:
     def size(self):
         """Total id space including pad and oov."""
         return len(self.words_by_id) + 2
-
-    def lookup(self, token) -> int:
-        return self.word_to_id.get(token, OOV_ID)
 
     def serialize(self) -> str:
         return "".join(f"{w}\t{self.counts[w]}\n" for w in self.words_by_id)
@@ -116,31 +118,25 @@ def split_by_frequency(vocab: Vocabulary, threshold=DEFAULT_FREQUENCY_THRESHOLD)
     return FrequencySplit(threshold, frozenset(high.tolist()), frozenset(low.tolist()), is_high)
 
 
-@dataclass(eq=False)
-class EncodedSequence:
-    """Fixed-length id vector; positions at and beyond true_length are pad."""
-
-    ids: np.ndarray
-    true_length: int
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-
-
-def encode(tokens, vocab: Vocabulary, length=DEFAULT_MAX_LEN, side=CONTEXT) -> EncodedSequence:
-    """Map tokens to ids, truncate to ``length`` and right-pad with pad ids.
+def encode(texts, vocab: Vocabulary, length=DEFAULT_MAX_LEN, side=CONTEXT):
+    """Map each token sequence of ``texts`` to a row of ids, truncated to
+    ``length`` and right-padded with pad ids; returns (ids [n x length],
+    [n] true lengths).
 
     Overlong contexts keep their last ``length`` tokens (the most recent
-    turns), overlong responses keep their first ``length`` tokens.
+    turns), overlong responses keep their first ``length`` tokens.  The
+    tokens of all rows are looked up in one pass.
     """
     if length < 1:
         raise ContractError("encode requires length >= 1")
     if side not in (CONTEXT, RESPONSE):
         raise ContractError(f"side must be {CONTEXT!r} or {RESPONSE!r}, got {side!r}")
-    kept = tokens[-length:] if side == CONTEXT else tokens[:length]
-    ids = np.full(length, PAD_ID, dtype=np.int64)
-    ids[: len(kept)] = [vocab.lookup(token) for token in kept]
-    return EncodedSequence(ids=ids, true_length=len(kept))
+    kept = [t[-length:] for t in texts] if side == CONTEXT else [t[:length] for t in texts]
+    lengths = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
+    ids = np.full((len(kept), length), PAD_ID, dtype=np.int64)
+    words = map(vocab.word_to_id.get, chain.from_iterable(kept), repeat(OOV_ID))
+    ids[np.arange(length) < lengths[:, None]] = np.fromiter(words, dtype=np.int64, count=int(lengths.sum()))
+    return ids, lengths
 
 
 def filter_rows(ids, split: FrequencySplit, band: str):
@@ -154,12 +150,6 @@ def filter_rows(ids, split: FrequencySplit, band: str):
     keep = high if band == HIGH else ~high & (ids != PAD_ID)
     order = np.argsort(~keep, axis=1, kind="stable")  # kept ids first, in order
     return np.take_along_axis(np.where(keep, ids, PAD_ID), order, axis=1), keep.sum(axis=1)
-
-
-def filter_sequence(seq: EncodedSequence, split: FrequencySplit, band: str) -> EncodedSequence:
-    """Keep only ids of the requested band, compacted and re-padded to the same length."""
-    ids, lengths = filter_rows(seq.ids[None, :], split, band)
-    return EncodedSequence(ids=ids[0], true_length=int(lengths[0]))
 
 
 def common_words(context, response) -> tuple:

@@ -24,7 +24,7 @@ from ccnrank.evaluation import (
     score_instances,
     tune_scale_from_scored,
 )
-from ccnrank.layers import kmax
+from ccnrank.layers import kmax_pool
 from ccnrank.models import (
     ARCHITECTURES,
     ModelConfig,
@@ -45,7 +45,7 @@ from ccnrank.vocab import (
     build_vocab,
     cwf_score,
     encode,
-    filter_sequence,
+    filter_rows,
     split_by_frequency,
 )
 
@@ -149,7 +149,8 @@ class TestCriterion2OracleEquivalence:
         for _ in range(10_000):
             values = rng.normal(size=int(rng.integers(2, 24)))
             k = int(rng.integers(1, len(values) + 1))
-            assert kmax(values, k).data.tolist() == np.sort(values)[::-1][:k].tolist()
+            pooled = kmax_pool(Tensor(values.reshape(1, 1, -1)), k, [len(values)])
+            assert pooled.data[0].tolist() == np.sort(values)[::-1][:k].tolist()
 
         checked = 0
         for inst in train_set:
@@ -332,12 +333,13 @@ class TestCriterion7InvariantSuites:
         params = LstmParams(
             w_in=ps2.add("w", w_in), w_rec=ps2.add("u", w_rec), bias=ps2.add("b", bias)
         )
-        x = rng.normal(size=(3, 7))
+        x = rng.normal(size=(1, 3, 7))
         y = x.copy()
-        y[:, 4:] = rng.normal(size=(3, 3))
+        y[..., 4:] = rng.normal(size=(3, 3))
+        length = np.array([4])
         results["lstm_padding_invariance"] = bool(
             np.array_equal(
-                lstm_encode(Tensor(x), 4, params).data, lstm_encode(Tensor(y), 4, params).data
+                lstm_encode(Tensor(x), length, params).data, lstm_encode(Tensor(y), length, params).data
             )
         )
 
@@ -372,10 +374,8 @@ class TestCriterion7InvariantSuites:
             split = split_by_frequency(vocabulary, threshold)
             ok &= not (split.high & split.low)
             ok &= (split.high | split.low) == frozenset(vocabulary.word_to_id.values())
-            enc = encode(train_set[0].context, vocabulary, 24)
-            hi = filter_sequence(enc, split, HIGH)
-            lo = filter_sequence(enc, split, LOW)
-            ok &= hi.true_length + lo.true_length == enc.true_length
+            ids, lengths = encode([train_set[0].context], vocabulary, 24)
+            ok &= (filter_rows(ids, split, HIGH)[1] + filter_rows(ids, split, LOW)[1] == lengths).all()
         results["frequency_partition"] = bool(ok)
 
         passed = all(results.values())

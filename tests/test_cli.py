@@ -178,15 +178,18 @@ class TestTrain:
 
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_gradient_under_clip_norm_is_numeric_failure(self, run_in_tmpdir, capsys):
-        # An infinite first coordinate saturates every gate, so the loss stays
-        # finite while the input weights' gradient is 0 * inf = NaN.
+        # A first coordinate beyond float32's range is infinite in a float32
+        # table.  It saturates every gate, so the loss stays finite while the
+        # input weights' gradient is 0 * inf = NaN.
         data = gen(run_in_tmpdir)
         vectors = run_in_tmpdir / "vectors.txt"
         words = build_vocab(load_train(data / "train.csv")).word_to_id
-        vectors.write_text("".join(f"{w} inf 0.25 0.25 0.25\n" for w in words))
+        vectors.write_text("".join(f"{w} 1e39 0.25 0.25 0.25\n" for w in words))
         rc, ckpt = train_tiny(
-            run_in_tmpdir, data, extra=("--embeddings", str(vectors), "--clip-norm", "1.0")
+            run_in_tmpdir, data,
+            extra=("--embeddings", str(vectors), "--clip-norm", "1.0", "--precision", "float32"),
         )
         assert rc == EXIT_NUMERIC
         assert "non-finite gradient norm in epoch 1, batch 0" in capsys.readouterr().err
@@ -224,6 +227,21 @@ class TestTrain:
         assert f"{vocab}: line" in err and problem in err
         assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
         assert not (run_in_tmpdir / "model.ckpt.log").exists()
+
+    @pytest.mark.parametrize("value,problem", [("abc", "'abc'"), ("nan", "non-finite")],
+                             ids=["not-a-number", "non-finite"])
+    def test_bad_embeddings_file_is_usage_error(self, run_in_tmpdir, value, problem, capsys):
+        data = gen(run_in_tmpdir)
+        vectors = run_in_tmpdir / "vectors.txt"
+        vectors.write_text(f"hello 0.25 0.25 0.25 0.25\nworld 0.25 {value} 0.25 0.25\n")
+        capsys.readouterr()
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--embeddings", str(vectors)))
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{vectors}: line 2" in err and problem in err
+        assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
+        assert not (run_in_tmpdir / "model.ckpt.log").exists()
+        assert not (run_in_tmpdir / "model.ckpt.vocab.txt").exists()
 
     def test_non_numeric_config_value_is_usage_error(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)

@@ -1,4 +1,7 @@
+import string
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ccnrank.corpus import (
     ConfigError,
@@ -50,6 +53,23 @@ class TestTokenize:
             once = tokenize(text)
             again = tokenize(" ".join(once))
             assert once == again
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.lists(
+        st.one_of(
+            st.sampled_from(string.ascii_letters + string.digits + string.punctuation),
+            st.sampled_from(["__eou__", "__EOT__", "__url__", "__a_1__", "_____", "__", "İ", "ß", "ǅ", "ﬁ"]),
+            st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003",
+                             "\u2028", "\u3000"]),
+            st.characters(),
+        ),
+        max_size=40,
+    ).map("".join))
+    @example(text="(__eou__),")
+    @example(text="__eou__\u2003__EOU__\xa0x__eou__")
+    def test_idempotent_property(self, text):
+        once = tokenize(text)
+        assert tokenize(" ".join(once)) == once
 
 
 class TestTrainFile:

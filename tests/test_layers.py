@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,6 @@ from ccnrank.layers import (
     gather_rows,
     init_embedding_matrix,
     init_lstm_arrays,
-    kmax,
     kmax_pool,
     load_word_vectors,
     lstm_encode,
@@ -33,25 +34,25 @@ def table_from(array, ps=None, name="emb"):
 class TestEmbedLookup:
     def test_all_pad_gives_zero_matrix(self):
         table, _ = table_from(np.arange(12.0).reshape(4, 3))
-        out = embed_lookup(np.zeros(5, dtype=np.int64), table)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 5)))
+        out = embed_lookup(np.zeros((1, 5), dtype=np.int64), table)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 3, 5)))
 
     def test_columns_are_rows_of_table(self):
         table, _ = table_from(np.arange(12.0).reshape(4, 3))
-        out = embed_lookup(np.array([2, 3, 0, 0]), table)
-        np.testing.assert_array_equal(out.data[:, 0], table.matrix.data[2])
-        np.testing.assert_array_equal(out.data[:, 1], table.matrix.data[3])
-        np.testing.assert_array_equal(out.data[:, 2:], np.zeros((3, 2)))
+        out = embed_lookup(np.array([[2, 3, 0, 0]]), table)
+        np.testing.assert_array_equal(out.data[0, :, 0], table.matrix.data[2])
+        np.testing.assert_array_equal(out.data[0, :, 1], table.matrix.data[3])
+        np.testing.assert_array_equal(out.data[0, :, 2:], np.zeros((3, 2)))
 
     def test_out_of_range_id(self):
         table, _ = table_from(np.zeros((4, 2)))
         with pytest.raises(ContractError):
-            embed_lookup(np.array([4]), table)
+            embed_lookup(np.array([[4]]), table)
 
     def test_gradient_counts_occurrences_and_skips_pad(self):
         rng = np.random.default_rng(0)
         table, ps = table_from(rng.normal(size=(5, 3)))
-        ids = np.array([2, 2, 4, 0, 0])
+        ids = np.array([[2, 2, 4, 0, 0]])
         out = embed_lookup(ids, table)
         backward(nm.tsum(out))
         grad = table.matrix.grad
@@ -113,48 +114,48 @@ class TestLstmEncode:
             w_rec=ps.add("u", np.zeros((8, 2))),
             bias=ps.add("b", np.zeros(8)),
         )
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        out = lstm_encode(x, 4, params)
-        np.testing.assert_array_equal(out.data, np.zeros(2))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 4)))
+        out = lstm_encode(x, np.array([4]), params)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
 
     def test_zero_length_gives_zero_vector(self):
         rng = np.random.default_rng(1)
         params, _ = make_lstm(3, 2, rng)
-        out = lstm_encode(Tensor(rng.normal(size=(3, 5))), 0, params)
-        np.testing.assert_array_equal(out.data, np.zeros(2))
+        out = lstm_encode(Tensor(rng.normal(size=(1, 3, 5))), np.array([0]), params)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
 
     def test_single_step_matches_cell_oracle(self):
         rng = np.random.default_rng(2)
         params, _ = make_lstm(2, 2, rng)
-        x = rng.normal(size=(2, 1))
-        out = lstm_encode(Tensor(x), 1, params)
+        x = rng.normal(size=(1, 2, 1))
+        out = lstm_encode(Tensor(x), np.array([1]), params)
         h, _ = manual_lstm_cell(
-            x[:, 0], np.zeros(2), np.zeros(2),
+            x[0, :, 0], np.zeros(2), np.zeros(2),
             params.w_in.data, params.w_rec.data, params.bias.data, 2,
         )
-        np.testing.assert_allclose(out.data, h, atol=1e-10)
+        np.testing.assert_allclose(out.data[0], h, atol=1e-10)
 
     def test_multi_step_matches_cell_oracle(self):
         rng = np.random.default_rng(3)
         params, _ = make_lstm(3, 4, rng)
-        x = rng.normal(size=(3, 5))
-        out = lstm_encode(Tensor(x), 5, params)
+        x = rng.normal(size=(1, 3, 5))
+        out = lstm_encode(Tensor(x), np.array([5]), params)
         h, c = np.zeros(4), np.zeros(4)
         for t in range(5):
             h, c = manual_lstm_cell(
-                x[:, t], h, c, params.w_in.data, params.w_rec.data, params.bias.data, 4
+                x[0, :, t], h, c, params.w_in.data, params.w_rec.data, params.bias.data, 4
             )
-        np.testing.assert_allclose(out.data, h, atol=1e-10)
+        np.testing.assert_allclose(out.data[0], h, atol=1e-10)
 
     def test_padding_invariance(self):
         rng = np.random.default_rng(4)
         params, _ = make_lstm(3, 4, rng)
-        x = rng.normal(size=(3, 6))
-        x[:, 4:] = 0.0
-        out_a = lstm_encode(Tensor(x), 4, params)
+        x = rng.normal(size=(1, 3, 6))
+        x[..., 4:] = 0.0
+        out_a = lstm_encode(Tensor(x), np.array([4]), params)
         garbage = x.copy()
-        garbage[:, 4:] = rng.normal(size=(3, 2))
-        out_b = lstm_encode(Tensor(garbage), 4, params)
+        garbage[..., 4:] = rng.normal(size=(3, 2))
+        out_b = lstm_encode(Tensor(garbage), np.array([4]), params)
         np.testing.assert_array_equal(out_a.data, out_b.data)
 
     def test_batched_matches_per_instance(self):
@@ -164,16 +165,16 @@ class TestLstmEncode:
         lengths = np.array([6, 2, 0])
         batch_out = lstm_encode(Tensor(xs), lengths, params)
         for b in range(3):
-            single = lstm_encode(Tensor(xs[b]), int(lengths[b]), params)
-            np.testing.assert_allclose(batch_out.data[b], single.data, atol=1e-12)
+            alone = lstm_encode(Tensor(xs[b : b + 1]), lengths[b : b + 1], params)
+            np.testing.assert_allclose(batch_out.data[b], alone.data[0], atol=1e-12)
 
     def test_gradients(self):
         rng = np.random.default_rng(6)
         params, ps = make_lstm(3, 3, rng)
-        x = ps.add("x", rng.normal(size=(3, 4)))
+        x = ps.add("x", rng.normal(size=(1, 3, 4)))
 
         def loss():
-            h = lstm_encode(x, 3, params)
+            h = lstm_encode(x, np.array([3]), params)
             return nm.tsum(nm.mul(h, h))
 
         report = finite_diff_check(loss, ps, max_coords_per_param=16)
@@ -206,9 +207,9 @@ class TestLstmEncode:
         for b, n in enumerate(lengths):
             assert np.all(x.grad[b, :, n:] == 0.0)
             assert np.all(x.grad[b, :, :n] != 0.0)
-        single = ps.add("single", rng.normal(size=(3, 6)))
-        backward(nm.tsum(lstm_encode(single, 4, params)))
-        assert np.all(single.grad[:, 4:] == 0.0)
+        lone = ps.add("lone", rng.normal(size=(1, 3, 6)))
+        backward(nm.tsum(lstm_encode(lone, np.array([4]), params)))
+        assert np.all(lone.grad[..., 4:] == 0.0)
 
     def test_no_grad_output_has_no_parents(self):
         rng = np.random.default_rng(9)
@@ -249,8 +250,9 @@ class TestLstmEncode:
         for rows in (1, 2, 3, 9, 10, 26):
             got = lstm_encode(Tensor(xs[:rows]), lengths[:rows], params).data
             assert got.tobytes() == full[:rows].tobytes(), rows
-        single = lstm_encode(Tensor(xs[0]), int(lengths[0]), params).data
-        assert single.tobytes() == full[0].tobytes()
+        for row in (5, 39):  # a lone row from inside the batch
+            alone = lstm_encode(Tensor(xs[row : row + 1]), lengths[row : row + 1], params).data
+            assert alone.tobytes() == full[row : row + 1].tobytes(), row
 
     def test_one_row_batch_gradients(self):
         rng = np.random.default_rng(12)
@@ -297,14 +299,14 @@ class TestScorers:
     def test_bilinear_identity(self):
         ps = ParameterSet()
         weight = ps.add("m", np.eye(3))
-        e1 = Tensor(np.array([1.0, 0.0, 0.0]))
+        e1 = Tensor(np.array([[1.0, 0.0, 0.0]]))
         assert bilinear_score(e1, e1, weight).item() == 1.0
 
     def test_bilinear_zero_input(self):
         ps = ParameterSet()
         weight = ps.add("m", np.ones((3, 3)))
-        z = Tensor(np.zeros(3))
-        assert bilinear_score(z, Tensor(np.ones(3)), weight).item() == 0.0
+        z = Tensor(np.zeros((1, 3)))
+        assert bilinear_score(z, Tensor(np.ones((1, 3))), weight).item() == 0.0
 
     def test_bilinear_matches_triple_loop(self):
         rng = np.random.default_rng(7)
@@ -313,7 +315,7 @@ class TestScorers:
         weight = ps.add("m", m)
         c, r = rng.normal(size=3), rng.normal(size=3)
         expected = sum(c[i] * m[i, j] * r[j] for i in range(3) for j in range(3))
-        got = bilinear_score(Tensor(c), Tensor(r), weight).item()
+        got = bilinear_score(Tensor(c[None]), Tensor(r[None]), weight).item()
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_bilinear_transpose_symmetry(self):
@@ -322,7 +324,7 @@ class TestScorers:
         ps = ParameterSet()
         p_m = ps.add("m", m)
         p_mt = ps.add("mt", m.T)
-        c, r = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+        c, r = Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4)))
         assert bilinear_score(c, r, p_m).item() == pytest.approx(
             bilinear_score(r, c, p_mt).item(), rel=1e-12
         )
@@ -331,17 +333,17 @@ class TestScorers:
         ps = ParameterSet()
         weight = ps.add("m", np.eye(3))
         with pytest.raises(ShapeError):
-            bilinear_score(Tensor(np.zeros(2)), Tensor(np.zeros(2)), weight)
+            bilinear_score(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), weight)
 
     def test_dense_zero_weight(self):
         ps = ParameterSet()
         weight = ps.add("d", np.zeros(3))
-        assert dense_score(Tensor(np.ones(3)), weight).item() == 0.0
+        assert dense_score(Tensor(np.ones((1, 3))), weight).item() == 0.0
 
     def test_dense_basis_weight(self):
         ps = ParameterSet()
         weight = ps.add("d", np.array([1.0, 0.0, 0.0]))
-        assert dense_score(Tensor(np.array([5.0, 7.0, 9.0])), weight).item() == 5.0
+        assert dense_score(Tensor(np.array([[5.0, 7.0, 9.0]])), weight).item() == 5.0
 
     def test_dense_matches_dot_oracle(self):
         rng = np.random.default_rng(9)
@@ -350,7 +352,7 @@ class TestScorers:
         weight = ps.add("d", d)
         h = rng.normal(size=6)
         expected = sum(d[i] * h[i] for i in range(6))
-        assert dense_score(Tensor(h), weight).item() == pytest.approx(expected, rel=1e-12)
+        assert dense_score(Tensor(h[None]), weight).item() == pytest.approx(expected, rel=1e-12)
 
     def test_scorer_gradients(self):
         rng = np.random.default_rng(10)
@@ -368,43 +370,45 @@ class TestScorers:
 
 
 class TestKmax:
+    """k-max pooling of one sequence: ``kmax_pool`` on a one-row, one-word grid."""
+
     def test_single_max(self):
-        out = kmax([0.2, -0.5, 0.9], 1)
-        np.testing.assert_array_equal(out.data, [0.9])
+        out = kmax_pool(Tensor(np.array([[[0.2, -0.5, 0.9]]])), 1, [3])
+        np.testing.assert_array_equal(out.data, [[0.9]])
 
     def test_descending(self):
-        out = kmax([1.0, 3.0, 2.0], 2)
-        np.testing.assert_array_equal(out.data, [3.0, 2.0])
+        out = kmax_pool(Tensor(np.array([[[1.0, 3.0, 2.0]]])), 2, [3])
+        np.testing.assert_array_equal(out.data, [[3.0, 2.0]])
 
     def test_short_input_zero_fills(self):
-        out = kmax([4.0, -1.0, 7.0], 3, n_valid=2)
-        np.testing.assert_array_equal(out.data, [4.0, -1.0, 0.0])
+        out = kmax_pool(Tensor(np.array([[[4.0, -1.0, 7.0]]])), 3, [2])
+        np.testing.assert_array_equal(out.data, [[4.0, -1.0, 0.0]])
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             values = rng.normal(size=20)
             k = int(rng.integers(1, 8))
-            out = kmax(values, k)
+            out = kmax_pool(Tensor(values.reshape(1, 1, 20)), k, [20])
             expected = np.sort(values)[::-1][:k]
-            np.testing.assert_array_equal(out.data, expected)
+            np.testing.assert_array_equal(out.data[0], expected)
 
     def test_gradient_on_selected_positions_first_tie_wins(self):
-        values = Tensor(np.array([2.0, 5.0, 5.0, 1.0]), requires_grad=True)
-        out = kmax(values, 2)
+        values = Tensor(np.array([[[2.0, 5.0, 5.0, 1.0]]]), requires_grad=True)
+        out = kmax_pool(values, 2, [4])
         backward(nm.tsum(out))
-        np.testing.assert_array_equal(values.grad, [0.0, 1.0, 1.0, 0.0])
-        values2 = Tensor(np.array([2.0, 5.0, 5.0, 1.0]), requires_grad=True)
-        backward(nm.tsum(kmax(values2, 1)))
-        np.testing.assert_array_equal(values2.grad, [0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(values.grad, [[[0.0, 1.0, 1.0, 0.0]]])
+        values2 = Tensor(np.array([[[2.0, 5.0, 5.0, 1.0]]]), requires_grad=True)
+        backward(nm.tsum(kmax_pool(values2, 1, [4])))
+        np.testing.assert_array_equal(values2.grad, [[[0.0, 1.0, 0.0, 0.0]]])
 
     def test_gradient_is_indicator_of_selection(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            arr = rng.normal(size=10)
+            arr = rng.normal(size=(1, 1, 10))
             k = int(rng.integers(1, 10))
             t = Tensor(arr, requires_grad=True)
-            backward(nm.tsum(kmax(t, k)))
+            backward(nm.tsum(kmax_pool(t, k, [10])))
             assert t.grad.sum() == k
             assert set(np.unique(t.grad)) <= {0.0, 1.0}
 
@@ -487,56 +491,56 @@ class TestCrossConvolution:
     def test_zero_response_scores_bias(self):
         ps = ParameterSet()
         params = ccn_params(ps, 1, 3, weight=np.ones(3), bias=0.7)
-        ctx = Tensor(np.random.default_rng(0).normal(size=(2, 4)))
-        resp = Tensor(np.zeros((2, 3)))
-        score = cross_convolution(ctx, resp, params, context_length=4)
+        ctx = Tensor(np.random.default_rng(0).normal(size=(1, 2, 4)))
+        resp = Tensor(np.zeros((1, 2, 3)))
+        score = cross_convolution(ctx, resp, params, context_length=[4])
         assert score.item() == pytest.approx(0.7)
 
     def test_hand_evaluated_case(self):
         # unit-basis context columns, response = e1: grid row [1, 0], k=1
         ps = ParameterSet()
         params = ccn_params(ps, 1, 1, weight=[1.0], bias=0.0)
-        ctx = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        resp = Tensor(np.array([[1.0], [0.0]]))
-        score = cross_convolution(ctx, resp, params, context_length=2)
+        ctx = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        resp = Tensor(np.array([[[1.0], [0.0]]]))
+        score = cross_convolution(ctx, resp, params, context_length=[2])
         assert score.item() == pytest.approx(1.0)
 
     def test_pooled_in_response_order(self):
         # two response words with distinct best matches
         ps = ParameterSet()
         params = ccn_params(ps, 1, 2, weight=[1.0, 10.0], bias=0.0)
-        ctx = Tensor(np.array([[2.0, 0.0], [0.0, 3.0]]))
-        resp = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        score = cross_convolution(ctx, resp, params, context_length=2)
+        ctx = Tensor(np.array([[[2.0, 0.0], [0.0, 3.0]]]))
+        resp = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        score = cross_convolution(ctx, resp, params, context_length=[2])
         # response word 0 pools 2.0, word 1 pools 3.0 -> 1*2 + 10*3
         assert score.item() == pytest.approx(32.0)
 
     def test_pad_columns_cannot_win_pooling(self):
         ps = ParameterSet()
         params = ccn_params(ps, 1, 1, weight=[1.0], bias=0.0)
-        ctx = Tensor(np.array([[-1.0, 0.0], [-1.0, 0.0]]))  # second column is padding
-        resp = Tensor(np.array([[1.0], [1.0]]))
-        score = cross_convolution(ctx, resp, params, context_length=1)
+        ctx = Tensor(np.array([[[-1.0, 0.0], [-1.0, 0.0]]]))  # second column is padding
+        resp = Tensor(np.array([[[1.0], [1.0]]]))
+        score = cross_convolution(ctx, resp, params, context_length=[1])
         assert score.item() == pytest.approx(-2.0)  # not the 0.0 of the pad column
 
     def test_invariant_to_permuting_pad_columns(self):
         rng = np.random.default_rng(13)
         ps = ParameterSet()
         params = ccn_params(ps, 2, 3, weight=rng.normal(size=6), bias=0.1)
-        ctx = rng.normal(size=(4, 6))
-        ctx[:, 4:] = 0.0
-        resp = Tensor(rng.normal(size=(4, 3)))
-        base = cross_convolution(Tensor(ctx), resp, params, context_length=4)
+        ctx = rng.normal(size=(1, 4, 6))
+        ctx[..., 4:] = 0.0
+        resp = Tensor(rng.normal(size=(1, 4, 3)))
+        base = cross_convolution(Tensor(ctx), resp, params, context_length=[4])
         permuted = ctx.copy()
-        permuted[:, [4, 5]] = permuted[:, [5, 4]]
-        swapped = cross_convolution(Tensor(permuted), resp, params, context_length=4)
+        permuted[..., [4, 5]] = permuted[..., [5, 4]]
+        swapped = cross_convolution(Tensor(permuted), resp, params, context_length=[4])
         assert base.item() == swapped.item()
 
     def test_k_larger_than_context_rejected(self):
         ps = ParameterSet()
         params = ccn_params(ps, 4, 2, weight=np.zeros(8))
         with pytest.raises(ConfigurationError):
-            cross_convolution(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))), params)
+            cross_convolution(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 2))), params)
 
     def test_parallel_head(self):
         ps = ParameterSet()
@@ -547,9 +551,9 @@ class TestCrossConvolution:
             weight2=ps.add("w2", np.zeros(2)),
             bias2=ps.add("b2", np.full(1, 0.25)),
         )
-        ctx = Tensor(np.zeros((2, 2)))
-        resp = Tensor(np.zeros((2, 2)))
-        score = cross_convolution(ctx, resp, params, context_length=2)
+        ctx = Tensor(np.zeros((1, 2, 2)))
+        resp = Tensor(np.zeros((1, 2, 2)))
+        score = cross_convolution(ctx, resp, params, context_length=[2])
         # sigmoid(first head's 0) + second head's bias
         assert score.item() == pytest.approx(0.75)
         with pytest.raises(ConfigurationError):
@@ -559,7 +563,7 @@ class TestCrossConvolution:
         ps = ParameterSet()
         params = ccn_params(ps, 2, 2, weight=np.zeros(4))
         with pytest.raises(ShapeError):
-            cross_convolution(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), params)
+            cross_convolution(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 3))), params)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("batched", [True, False])
@@ -573,8 +577,8 @@ class TestCrossConvolution:
         for i in range(3):
             ctx[i, :, ctx_len[i]:] = 0.0
             resp[i, :, resp_len[i]:] = 0.0
-        if not batched:
-            ctx, resp, ctx_len, resp_len = ctx[0], resp[0], ctx_len[0], resp_len[0]
+        if not batched:  # a lone pair: a one-row batch
+            ctx, resp, ctx_len, resp_len = ctx[:1], resp[:1], ctx_len[:1], resp_len[:1]
         weight = rng.normal(size=k * length)
         results = []
         for ctx_cols, resp_cols in ((4, 3), (length, length)):
@@ -613,6 +617,22 @@ class TestCrossConvolution:
         assert report.passed, report
 
 
+class TestBatchesOnly:
+    """A lone sequence is a one-row batch; unbatched inputs are shape errors."""
+
+    def test_unbatched_inputs_rejected(self):
+        rng = np.random.default_rng(16)
+        lstm, ps = make_lstm(3, 2, rng)
+        with pytest.raises(ShapeError):
+            lstm_encode(Tensor(np.zeros((3, 4))), np.array([4]), lstm)
+        with pytest.raises(ShapeError):
+            bilinear_score(Tensor(np.zeros(2)), Tensor(np.zeros(2)), ps.add("m", np.eye(2)))
+        with pytest.raises(ShapeError):
+            dense_score(Tensor(np.zeros(2)), ps.add("d", np.zeros(2)))
+        with pytest.raises(ShapeError):
+            cross_convolution(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))), ccn_params(ps, 1, 2))
+
+
 class TestPretrainedVectors:
     def test_load_and_apply(self, tmp_path):
         path = tmp_path / "vectors.txt"
@@ -636,4 +656,12 @@ class TestPretrainedVectors:
         path = tmp_path / "vectors.txt"
         path.write_text("alpha 1.0 2.0 3.0\n")
         with pytest.raises(ContractError):
+            load_word_vectors(path, dim=2)
+
+    @pytest.mark.parametrize("value,problem", [("abc", "'abc'"), ("nan", "non-finite"),
+                                               ("-inf", "non-finite"), ("1e999", "non-finite")])
+    def test_bad_value_names_file_and_line(self, tmp_path, value, problem):
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"alpha 1.0 2.0\nbeta 3.0 {value}\n")
+        with pytest.raises(ContractError, match=f"{re.escape(str(path))}: line 2: .*{problem}"):
             load_word_vectors(path, dim=2)

@@ -24,7 +24,7 @@ from ccnrank.numerics import (
     ContractError, NonFiniteError, Tensor, backward, finite_diff_check, mean, mul, no_grad, sub,
 )
 from ccnrank.training import batch_loss
-from ccnrank.vocab import CONTEXT, PAD_ID, RESPONSE, build_vocab, common_words, encode, filter_sequence
+from ccnrank.vocab import CONTEXT, OOV_ID, PAD_ID, RESPONSE, build_vocab, common_words, encode, filter_rows
 
 
 def tiny_vocab(n_high=4, n_low=3):
@@ -197,7 +197,7 @@ class TestMfcwForward:
             hi_ids, hi_len = prepared.columns[f"{side}_high"]
             lo_ids, lo_len = prepared.columns[f"{side}_low"]
             merged = sorted(list(hi_ids[0][: hi_len[0]]) + list(lo_ids[0][: lo_len[0]]))
-            expected = sorted(vocab.lookup(t) for t in tokens)
+            expected = sorted(vocab.word_to_id.get(t, OOV_ID) for t in tokens)
             assert merged == expected
 
     def test_common_branch_uses_token_types_not_oov_ids(self):
@@ -225,10 +225,11 @@ class TestPreparePairs:
     def test_columns_equal_pairwise_encode_and_filter(self, arch):
         vocab = tiny_vocab()
         model, _ = build_model(tiny_config(arch, max_len=4, k=2), vocab)
+        # each pair's sequences encoded alone, as one-row batches
         encoders = {
-            "ctx": lambda c, r: encode(c, vocab, 4, CONTEXT),
-            "resp": lambda c, r: encode(r, vocab, 4, RESPONSE),
-            "common": lambda c, r: encode(common_words(c, r), vocab, 4, RESPONSE),
+            "ctx": lambda c, r: encode([c], vocab, 4, CONTEXT)[0],
+            "resp": lambda c, r: encode([r], vocab, 4, RESPONSE)[0],
+            "common": lambda c, r: encode([common_words(c, r)], vocab, 4, RESPONSE)[0],
         }
         expected = {"ctx_high", "resp_high"}
         if arch == "mfcw_lstm":
@@ -246,10 +247,10 @@ class TestPreparePairs:
             assert ids.shape == (row_of.max() + 1, width) and ids.dtype == np.int64, name
             for pair, (c, r) in enumerate(self.PAIRS):
                 row = row_of[pair]
-                ref = filter_sequence(encoders[side](c, r), model.split, band)
-                np.testing.assert_array_equal(ids[row], ref.ids[:width], err_msg=f"{name} row {row}")
-                assert not ref.ids[width:].any(), (name, row)
-                assert lengths[row] == ref.true_length, (name, row)
+                ref_ids, ref_lengths = filter_rows(encoders[side](c, r), model.split, band)
+                np.testing.assert_array_equal(ids[row], ref_ids[0, :width], err_msg=f"{name} row {row}")
+                assert not ref_ids[0, width:].any(), (name, row)
+                assert lengths[row] == ref_lengths[0], (name, row)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_no_pairs(self, arch):
@@ -493,18 +494,18 @@ class TestSharedContexts:
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_each_distinct_context_is_encoded_once(self, arch, monkeypatch):
         model, _ = build_model(tiny_config(arch, max_len=6), tiny_vocab())
-        sides = []
-        encode_one = vb.encode
+        texts = {CONTEXT: 0, RESPONSE: 0}  # sequences encoded, by side
+        encode_rows = vb.encode
 
-        def counting_encode(*args, **kwargs):
-            sides.append(args[3])
-            return encode_one(*args, **kwargs)
+        def counting_encode(rows, vocab, length, side):
+            texts[side] += len(rows)
+            return encode_rows(rows, vocab, length, side)
 
         monkeypatch.setattr(vb, "encode", counting_encode)
         prepare_pairs(model, self.PAIRS)
-        assert sides.count(CONTEXT) == 3
+        assert texts[CONTEXT] == 3
         # responses, and for mfcw_lstm each pair's common words, stay per pair
-        assert sides.count(RESPONSE) == len(self.PAIRS) * (2 if arch == "mfcw_lstm" else 1)
+        assert texts[RESPONSE] == len(self.PAIRS) * (2 if arch == "mfcw_lstm" else 1)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_select_keeps_only_the_contexts_of_the_chosen_pairs(self, arch):

@@ -18,7 +18,6 @@ from ccnrank.vocab import (
     cwf_score,
     encode,
     filter_rows,
-    filter_sequence,
     load_vocab,
     save_vocab,
     split_by_frequency,
@@ -137,83 +136,111 @@ class TestFrequencySplit:
 class TestEncode:
     def test_padding(self):
         vocab = make_vocab({"a": 3, "b": 2})
-        enc = encode(("a", "b"), vocab, length=4, side="context")
-        np.testing.assert_array_equal(enc.ids, [2, 3, 0, 0])
-        assert enc.true_length == 2
+        ids, lengths = encode([("a", "b")], vocab, length=4, side="context")
+        np.testing.assert_array_equal(ids, [[2, 3, 0, 0]])
+        assert lengths.tolist() == [2]
 
     def test_context_keeps_last(self):
         vocab = make_vocab({f"w{i}": 1 for i in range(6)})
         tokens = tuple(f"w{i}" for i in range(6))
-        enc = encode(tokens, vocab, length=4, side="context")
-        assert [vocab.words_by_id[i - 2] for i in enc.ids] == ["w2", "w3", "w4", "w5"]
+        ids, _ = encode([tokens], vocab, length=4, side="context")
+        assert [vocab.words_by_id[i - 2] for i in ids[0]] == ["w2", "w3", "w4", "w5"]
 
     def test_response_keeps_first(self):
         vocab = make_vocab({f"w{i}": 1 for i in range(6)})
         tokens = tuple(f"w{i}" for i in range(6))
-        enc = encode(tokens, vocab, length=4, side="response")
-        assert [vocab.words_by_id[i - 2] for i in enc.ids] == ["w0", "w1", "w2", "w3"]
+        ids, _ = encode([tokens], vocab, length=4, side="response")
+        assert [vocab.words_by_id[i - 2] for i in ids[0]] == ["w0", "w1", "w2", "w3"]
 
     def test_unknown_token_maps_to_oov(self):
         vocab = make_vocab({"a": 1})
-        enc = encode(("a", "mystery"), vocab, length=3)
-        assert enc.ids[1] == OOV_ID
+        ids, _ = encode([("a", "mystery")], vocab, length=3)
+        assert ids[0, 1] == OOV_ID
 
     def test_output_length_exact(self):
         vocab = make_vocab({"a": 1})
         for n_tokens in (0, 1, 5, 9):
-            enc = encode(("a",) * n_tokens, vocab, length=5)
-            assert len(enc.ids) == 5
+            ids, lengths = encode([("a",) * n_tokens], vocab, length=5)
+            assert ids.shape == (1, 5) and lengths.tolist() == [min(n_tokens, 5)]
 
     def test_bad_args(self):
         vocab = make_vocab({"a": 1})
         with pytest.raises(ContractError):
-            encode(("a",), vocab, length=0)
+            encode([("a",)], vocab, length=0)
         with pytest.raises(ContractError):
-            encode(("a",), vocab, length=3, side="sideways")
+            encode([("a",)], vocab, length=3, side="sideways")
+
+    def test_no_texts(self):
+        ids, lengths = encode([], make_vocab({"a": 1}), length=3)
+        assert ids.shape == (0, 3) and ids.dtype == np.int64
+        assert lengths.shape == (0,) and lengths.dtype == np.int64
+
+    def test_empty_texts(self):
+        vocab = make_vocab({"a": 1})
+        ids, lengths = encode([(), ("a",), ()], vocab, length=2, side="response")
+        np.testing.assert_array_equal(ids, [[PAD_ID, PAD_ID], [2, PAD_ID], [PAD_ID, PAD_ID]])
+        assert lengths.tolist() == [0, 1, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_per_token_lookup(self, data):
+        vocab = make_vocab({f"w{i}": i + 1 for i in range(5)})
+        words = st.sampled_from(list(vocab.word_to_id) + ["ghost", "__eou__"])
+        texts = data.draw(st.lists(st.lists(words, max_size=9).map(tuple), max_size=6))
+        length, side = data.draw(st.integers(1, 7)), data.draw(st.sampled_from(["context", "response"]))
+        ids, lengths = encode(texts, vocab, length, side)
+        assert ids.shape == (len(texts), length)
+        for row, tokens in enumerate(texts):
+            kept = tokens[-length:] if side == "context" else tokens[:length]
+            want = [vocab.word_to_id.get(t, OOV_ID) for t in kept]
+            assert ids[row].tolist() == want + [PAD_ID] * (length - len(kept))
+            assert lengths[row] == len(kept)
 
 
 class TestFilterSequence:
+    """``filter_rows`` on one sequence, a one-row batch."""
+
     def setup_method(self):
         self.vocab = make_vocab({"hi1": 10, "hi2": 8, "lo1": 2, "lo2": 1})
         self.split = split_by_frequency(self.vocab, 5)
 
     def test_all_high_unchanged_in_high_band(self):
-        enc = encode(("hi1", "hi2"), self.vocab, length=4)
-        out = filter_sequence(enc, self.split, HIGH)
-        np.testing.assert_array_equal(out.ids, enc.ids)
-        assert out.true_length == 2
+        ids, _ = encode([("hi1", "hi2")], self.vocab, length=4)
+        out, lengths = filter_rows(ids, self.split, HIGH)
+        np.testing.assert_array_equal(out, ids)
+        assert lengths.tolist() == [2]
 
     def test_all_high_empties_low_band(self):
-        enc = encode(("hi1", "hi2"), self.vocab, length=4)
-        out = filter_sequence(enc, self.split, LOW)
-        assert out.true_length == 0
-        assert (out.ids == PAD_ID).all()
+        ids, _ = encode([("hi1", "hi2")], self.vocab, length=4)
+        out, lengths = filter_rows(ids, self.split, LOW)
+        assert lengths.tolist() == [0]
+        assert (out == PAD_ID).all()
 
     def test_mixed_matches_membership_oracle(self):
         rng = np.random.default_rng(5)
         words = list(self.vocab.word_to_id)
         for _ in range(50):
             tokens = tuple(words[i] for i in rng.integers(0, len(words), size=rng.integers(0, 9)))
-            enc = encode(tokens, self.vocab, length=10)
+            ids, _ = encode([tokens], self.vocab, length=10)
             for band in (HIGH, LOW):
-                out = filter_sequence(enc, self.split, band)
+                out, lengths = filter_rows(ids, self.split, band)
                 oracle = [
                     self.vocab.word_to_id[t]
                     for t in tokens
                     if (self.vocab.counts[t] > 5) == (band == HIGH)
                 ]
-                np.testing.assert_array_equal(out.ids[: out.true_length], oracle)
+                np.testing.assert_array_equal(out[0, : lengths[0]], oracle)
 
     def test_bands_union_to_real_word_multiset(self):
         rng = np.random.default_rng(6)
         words = list(self.vocab.word_to_id) + ["unseen1", "unseen2"]
         for _ in range(50):
             tokens = tuple(words[i] for i in rng.integers(0, len(words), size=rng.integers(0, 12)))
-            enc = encode(tokens, self.vocab, length=12)
-            hi = filter_sequence(enc, self.split, HIGH)
-            lo = filter_sequence(enc, self.split, LOW)
-            merged = Counter(hi.ids[: hi.true_length]) + Counter(lo.ids[: lo.true_length])
-            original = Counter(i for i in enc.ids[: enc.true_length] if i != PAD_ID)
+            ids, lengths = encode([tokens], self.vocab, length=12)
+            hi, hi_len = filter_rows(ids, self.split, HIGH)
+            lo, lo_len = filter_rows(ids, self.split, LOW)
+            merged = Counter(hi[0, : hi_len[0]]) + Counter(lo[0, : lo_len[0]])
+            original = Counter(i for i in ids[0, : lengths[0]] if i != PAD_ID)
             assert merged == original
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ccnrank import numerics as nm
-from ccnrank.layers import LstmParams, init_lstm_arrays, lstm_encode
+from ccnrank.layers import init_lstm_arrays, lstm_encode
 from ccnrank.numerics import ParameterSet, RmsProp, Tensor, backward, finite_diff_check
 
 # a scalar chain: d/dw sigmoid(w * w) at w = 1.2
@@ -17,11 +17,11 @@ print(f"d sigmoid(w^2)/dw at 1.2: taped {float(w.grad):.10f}, closed form {2.4 *
 rng = np.random.default_rng(0)
 ps = ParameterSet()
 w_in, w_rec, bias = init_lstm_arrays(input_dim=5, hidden_size=6, rng=rng)
-params = LstmParams(w_in=ps.add("w_in", w_in), w_rec=ps.add("w_rec", w_rec), bias=ps.add("bias", bias))
+params = (ps.add("w_in", w_in), ps.add("w_rec", w_rec), ps.add("bias", bias))  # lstm_encode's weights
 x = ps.add("x", rng.normal(size=(1, 5, 9)))  # one sequence: a one-row batch [B x N x L]
 
 def loss():
-    h = lstm_encode(x, np.array([9]), params)
+    h = lstm_encode(x, np.array([9]), *params)
     return nm.tsum(nm.mul(h, h))
 
 report = finite_diff_check(loss, ps, h=1e-5, tolerance=1e-4)

@@ -72,8 +72,8 @@ class RecallReport:
 
 def cwf_rescore(scored: ScoredCandidateSet, scale) -> np.ndarray:
     """Adjusted scores: probability + scale * cwf (no renormalization)."""
-    if scale < 0:
-        raise ContractError("cwf scale must be >= 0")
+    if not 0 <= scale < np.inf:  # NaN fails too
+        raise ContractError(f"cwf scale must be finite and >= 0, got {scale}")
     return scored.probabilities + scale * scored.cwf
 
 

@@ -5,11 +5,14 @@ The sequence operations take batches only: a sequence is a row, e.g. an
 lone sequence is a one-row batch.  ``gather_rows`` copies rows of a batch.
 All of them run on the numerics tape, so gradients flow to every parameter
 they touch.  The module depends on ``numerics`` alone: lookups take plain
-id arrays, which ``models.prepare_pairs`` builds.
+id arrays, which ``models.prepare_pairs`` builds, and every parameter is a
+plain ``Tensor`` argument, which ``models.forward_batch`` looks up by the
+names ``models.BRANCHES`` gives.
 
 Conventions baked in here:
-  * embedding row 0 is the padding vector: all-zero, and the lookup never
-    scatters gradient into it, so it stays zero through training;
+  * embedding row 0 is the padding vector: the caller keeps it all-zero
+    (``models.RankingModel`` zeroes it), and the lookup never scatters
+    gradient into it, so it stays zero through training;
   * the LSTM cell uses input/forget/candidate/output gate blocks in that
     order, forget bias initialized to 1;
   * ``lstm_encode`` is one tape op with a hand-written backward through
@@ -26,8 +29,6 @@ Conventions baked in here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics as nm
@@ -36,58 +37,6 @@ from .numerics import ContractError, ShapeError, Tensor
 
 class ConfigurationError(ValueError):
     """A layer was configured with unusable sizes."""
-
-
-# -- parameter containers ----------------------------------------------------
-
-
-@dataclass(eq=False)
-class EmbeddingTable:
-    """V x N embedding matrix; row 0 is the frozen all-zero padding row."""
-
-    matrix: Tensor
-
-    def __post_init__(self):
-        self.matrix.data[0, :] = 0.0
-
-    @property
-    def vocab_size(self):
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self):
-        return self.matrix.shape[1]
-
-
-@dataclass(eq=False)
-class LstmParams:
-    """Gate blocks stacked as [input; forget; candidate; output]."""
-
-    w_in: Tensor  # [4H x N]
-    w_rec: Tensor  # [4H x H]
-    bias: Tensor  # [4H]
-
-    @property
-    def hidden_size(self):
-        return self.w_rec.shape[1]
-
-
-@dataclass(eq=False)
-class CcnParams:
-    """Dense head over the pooled grid; a second weight/bias pair makes it
-    the parallel head, sigmoid(first) + second."""
-
-    k: int
-    weight: Tensor  # [k * L]
-    bias: Tensor  # [1]
-    weight2: Tensor | None = None  # parallel head only
-    bias2: Tensor | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigurationError("k must be >= 1")
-        if (self.weight2 is None) != (self.bias2 is None):
-            raise ConfigurationError("parallel head needs both a second weight and a second bias")
 
 
 # -- initializers -------------------------------------------------------------
@@ -141,7 +90,9 @@ def apply_pretrained(matrix: np.ndarray, vocab, vectors: dict) -> int:
     """Overwrite rows of ``matrix`` with pretrained vectors where available.
 
     Words absent from the file keep their random initialization; the padding
-    row is untouched.  Returns the number of covered words.
+    row is untouched.  A vector that does not fit the table's dtype (e.g.
+    1e39 in a float32 table) raises ContractError naming the word.  Returns
+    the number of covered words.
     """
     covered = 0
     for word, token_id in vocab.word_to_id.items():
@@ -152,7 +103,11 @@ def apply_pretrained(matrix: np.ndarray, vocab, vectors: dict) -> int:
             raise ShapeError(
                 f"pretrained vector for {word!r} has dim {vec.shape[0]}, table has {matrix.shape[1]}"
             )
-        matrix[token_id, :] = vec
+        with np.errstate(over="ignore"):
+            row = vec.astype(matrix.dtype)
+        if not np.isfinite(row).all():
+            raise ContractError(f"pretrained vector for {word!r} overflows the table's {matrix.dtype}")
+        matrix[token_id, :] = row
         covered += 1
     return covered
 
@@ -160,32 +115,33 @@ def apply_pretrained(matrix: np.ndarray, vocab, vectors: dict) -> int:
 # -- operations ---------------------------------------------------------------
 
 
-def embed_lookup(ids, table: EmbeddingTable) -> Tensor:
-    """Embeddings of a [B x L] id batch as [B x N x L]: column j of row b is
-    the embedding of ids[b, j], and pads map to zero.
+def embed_lookup(ids, table: Tensor) -> Tensor:
+    """Embeddings of a [B x L] id batch in the [V x N] ``table`` as
+    [B x N x L]: column j of row b is row ids[b, j] of the table, so pads
+    map to its zero row 0.
 
     Backward scatters into the looked-up rows only, never into the padding
     row.
     """
     arr = np.asarray(ids, dtype=np.int64)
-    if arr.min(initial=0) < 0 or arr.max(initial=0) >= table.vocab_size:
+    vocab_size = table.shape[0]
+    if arr.min(initial=0) < 0 or arr.max(initial=0) >= vocab_size:
         raise ContractError(
-            f"token id out of range [0, {table.vocab_size}) in lookup: "
+            f"token id out of range [0, {vocab_size}) in lookup: "
             f"min={arr.min()}, max={arr.max()}"
         )
-    matrix = table.matrix
-    gathered = matrix.data[arr]  # [..., L, N]
+    gathered = table.data[arr]  # [..., L, N]
     data = gathered.swapaxes(-1, -2).copy()
 
     def backward_fn(g):
-        grad = np.zeros_like(matrix.data)
-        g_rows = g.swapaxes(-1, -2).reshape(-1, matrix.data.shape[1])
+        grad = np.zeros_like(table.data)
+        g_rows = g.swapaxes(-1, -2).reshape(-1, table.shape[1])
         flat = arr.reshape(-1)
         keep = flat != 0
         np.add.at(grad, flat[keep], g_rows[keep])
         return (grad,)
 
-    return nm.custom_op(data, (matrix,), backward_fn)
+    return nm.custom_op(data, (table,), backward_fn)
 
 
 def gather_rows(x: Tensor, index) -> Tensor:
@@ -204,10 +160,12 @@ def gather_rows(x: Tensor, index) -> Tensor:
     return nm.custom_op(x.data[index], (x,), backward_fn)
 
 
-def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
-    """Final hidden state of an LSTM run over the first ``true_length`` columns.
+def lstm_encode(x: Tensor, lengths, w_in: Tensor, w_rec: Tensor, bias: Tensor) -> Tensor:
+    """Final hidden state of an LSTM run over the first ``lengths[b]`` columns of each row.
 
-    ``x`` is [B x N x L] with a [B] length vector; returns [B x H].
+    ``x`` is [B x N x L] with a [B] length vector; returns [B x H].  The
+    weights are ``w_in`` [4H x N], ``w_rec`` [4H x H] and ``bias`` [4H], each
+    stacking the input, forget, candidate and output gate blocks.
     Zero-length sequences encode to the zero vector; padding beyond the true
     length never affects the output and receives exactly zero gradient.  The
     result has ``x``'s dtype.
@@ -222,12 +180,12 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"lstm_encode expects a [B x N x L] batch, got shape {x.shape}")
     data = x.data
-    lengths = np.asarray(true_length, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     batch, n_in, max_cols = data.shape
     if lengths.shape != (batch,):
         raise ContractError(f"expected {batch} lengths, got shape {lengths.shape}")
     if lengths.max(initial=0) > max_cols:
-        raise ContractError("true_length exceeds the sequence length")
+        raise ContractError("a length exceeds the sequence length")
     rows = batch
     if batch == 1:
         # numpy sends one-row products to gemv, which rounds unlike the gemm a
@@ -237,11 +195,10 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
         lengths = np.append(lengths, 0)
         rows = 2
     dtype = data.dtype
-    hidden = params.hidden_size
+    hidden = w_rec.shape[1]
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))  # gate blocks
-    w_in = params.w_in.data.astype(dtype, copy=False)  # [4H x N]
-    w_rec = params.w_rec.data.astype(dtype, copy=False)  # [4H x H]
-    bias = params.bias.data.astype(dtype, copy=False)  # [4H]
+    parents = (x, w_in, w_rec, bias)
+    w_in, w_rec, bias = (t.data.astype(dtype, copy=False) for t in (w_in, w_rec, bias))
     # With the weight rows scaled by ``half`` (exact: a power of two),
     # tanh(pre-activation) * half + shift is sigmoid(z) = 0.5 * (1 + tanh(z / 2))
     # on the input, forget and output blocks and tanh(z) on the candidate block.
@@ -263,7 +220,7 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
     gates_seq += bias * half
     gates_seq = gates_seq.reshape(steps, rows, 4 * hidden)  # each step's slice becomes its gates
     active = (lengths > np.arange(steps)[:, None])[:, :, None]  # [T x B x 1]
-    keep = nm.records((x, params.w_in, params.w_rec, params.bias))
+    keep = nm.records(parents)
     if keep:  # the state entering each step, and tanh of each step's new cell
         h_seq, c_seq, tanh_c_seq = (np.empty((steps, rows, hidden), dtype=dtype) for _ in range(3))
     h = np.zeros((rows, hidden), dtype=dtype)
@@ -312,7 +269,7 @@ def lstm_encode(x: Tensor, true_length, params: LstmParams) -> Tensor:
         d_w_rec = d_rows.T @ h_seq.reshape(steps * rows, hidden)
         return dx, d_rows.T @ xs, d_w_rec, d_rows.sum(axis=0)
 
-    return nm.custom_op(h[:batch], (x, params.w_in, params.w_rec, params.bias), backward_fn)
+    return nm.custom_op(h[:batch], parents, backward_fn)
 
 
 def bilinear_score(c: Tensor, r: Tensor, weight: Tensor) -> Tensor:
@@ -332,26 +289,26 @@ def dense_score(h: Tensor, weight: Tensor) -> Tensor:
     return nm.matmul(h, weight.reshape(dim, 1)).reshape(h.shape[0])
 
 
-def kmax_pool(scores: Tensor, k, col_valid, row_valid=None, out_rows=None) -> Tensor:
+def kmax_pool(scores: Tensor, k, col_valid, row_valid, out_rows) -> Tensor:
     """Per-row k-max over the last axis of [B x R x C], flattened to [B, out_rows*k].
 
     Columns at or beyond ``col_valid[b]`` are padding and never win the
     pooling; rows at or beyond ``row_valid[b]`` (padded response words) emit
     gradient-free zeros, as do slots left over when a row has fewer than k
-    real columns.  ``out_rows`` (at least R, default R) zero-pads the result
-    to a fixed width, so a grid trimmed to a batch's real rows feeds the same
-    dense head as a full one.  What was selected follows from the masks
-    alone, so infinite and NaN values pool like any other (NaN counts as the
-    largest, as in ``np.argmax``).  Gradient is routed to the selected
-    positions only, first occurrence winning ties.
+    real columns.  ``out_rows`` (at least R) zero-pads the result to a fixed
+    width, so a grid trimmed to a batch's real rows feeds the same dense
+    head as a full one.  What was selected follows from the masks alone, so
+    infinite and NaN values pool like any other (NaN counts as the largest,
+    as in ``np.argmax``).  Gradient is routed to the selected positions
+    only, first occurrence winning ties.
     """
     b, rows, cols = scores.shape
-    out_rows = rows if out_rows is None else out_rows
     if k > cols:
         raise ConfigurationError(f"k={k} exceeds the {cols} available positions")
     if out_rows < rows:
         raise ShapeError(f"kmax_pool: {rows} grid rows do not fit in {out_rows} output rows")
     col_valid = np.asarray(col_valid, dtype=np.int64)[:, None, None]
+    row_valid = np.asarray(row_valid, dtype=np.int64)[:, None, None]
     masked = np.where(np.arange(cols) < col_valid, scores.data, -np.inf)
     if k == 1:
         order = np.argmax(masked, axis=2)[:, :, None]  # first occurrence on ties
@@ -359,10 +316,7 @@ def kmax_pool(scores: Tensor, k, col_valid, row_valid=None, out_rows=None) -> Te
         key = -masked
         key[np.isnan(key)] = -np.inf  # NaN first, as argmax takes it
         order = np.argsort(key, axis=2, kind="stable")[:, :, :k]
-    selected = order < col_valid
-    if row_valid is not None:
-        row_valid = np.asarray(row_valid, dtype=np.int64)
-        selected &= (np.arange(rows) < row_valid[:, None])[:, :, None]
+    selected = (order < col_valid) & (np.arange(rows)[:, None] < row_valid)
     vals = np.where(selected, np.take_along_axis(scores.data, order, axis=2), 0.0)
     data = np.zeros((b, out_rows, k), dtype=vals.dtype)
     data[:, :rows] = vals
@@ -376,49 +330,37 @@ def kmax_pool(scores: Tensor, k, col_valid, row_valid=None, out_rows=None) -> Te
     return nm.custom_op(data.reshape(b, out_rows * k), (scores,), backward_fn)
 
 
-def cross_convolution(
-    context_emb: Tensor,
-    response_emb: Tensor,
-    params: CcnParams,
-    context_length=None,
-    response_length=None,
-):
+def cross_convolution(context_emb: Tensor, response_emb: Tensor, k, heads, context_length,
+                      response_length) -> Tensor:
     """All pairwise word inner products, k-max pooled per response word, densed.
 
     Inputs are embedded batches [B x N x Lc] and [B x N x Lr]; entry (i, j)
     of a row's inner-product grid is response word i against context word j.
-    The dense head has k*L weights for L response slots; a response may be
-    narrower than L (a batch trimmed to its longest true length), and the
-    slots beyond its columns pool to zeros.  Padded context columns (at or
-    beyond ``context_length``) are excluded from pooling, and padded
-    response rows (at or beyond ``response_length``) pool to gradient-free
-    zeros, so padding influences neither the score nor any gradient.  Pooled
-    values are concatenated in response order and fed to the dense head.
-    Returns the [B] raw scores; the model combines them with its other
-    branch under one sigmoid.
+    ``heads`` is one ``(weight, bias)`` pair, the dense head's [k*L] weight
+    and [1] bias, or two pairs for the parallel head, scored
+    sigmoid(first) + second.  The head has k*L weights for L response
+    slots; a response may be narrower than L (a batch trimmed to its longest
+    true length), and the slots beyond its columns pool to zeros.  Padded
+    context columns (at or beyond ``context_length``) are excluded from
+    pooling, and padded response rows (at or beyond ``response_length``)
+    pool to gradient-free zeros, so padding influences neither the score nor
+    any gradient.  Pooled values are concatenated in response order and fed
+    to each head through ``dense_score``.  Returns the [B] raw scores; the
+    model combines them with its other branch under one sigmoid.
     """
     if context_emb.ndim != 3 or response_emb.ndim != 3:
         raise ShapeError(f"cross_convolution expects [B x N x L] batches, got "
                          f"{context_emb.shape} and {response_emb.shape}")
-    b, _, ctx_cols = context_emb.shape
-    resp_cols = response_emb.shape[2]
-    if params.k > ctx_cols:
-        raise ConfigurationError(f"k={params.k} exceeds the context length {ctx_cols}")
-    kl = params.weight.shape[0]
-    if kl % params.k or resp_cols > kl // params.k:
-        raise ShapeError(
-            f"dense weight has {kl} entries, needs k*L with k={params.k} and L >= {resp_cols}"
-        )
-    ctx_valid = np.full(b, ctx_cols, dtype=np.int64) if context_length is None else context_length
+    if len(heads) not in (1, 2):
+        raise ConfigurationError(f"cross_convolution takes one dense head or two, got {len(heads)}")
+    ctx_cols, resp_cols = context_emb.shape[2], response_emb.shape[2]
+    if not 1 <= k <= ctx_cols:
+        raise ConfigurationError(f"k={k} must be at least 1 and at most the context length {ctx_cols}")
+    kl = heads[0][0].shape[0]
+    if kl % k or resp_cols > kl // k:
+        raise ShapeError(f"dense weight has {kl} entries, needs k*L with k={k} and L >= {resp_cols}")
 
     grid = nm.matmul(response_emb.transpose_last(), context_emb)  # [B x Lr x Lc]
-    pooled = kmax_pool(grid, params.k, ctx_valid, response_length, out_rows=kl // params.k)  # [B, kL]
-    score = nm.add(
-        nm.matmul(pooled, params.weight.reshape(kl, 1)).reshape(b), params.bias
-    )
-    if params.weight2 is not None:
-        second = nm.add(
-            nm.matmul(pooled, params.weight2.reshape(kl, 1)).reshape(b), params.bias2
-        )
-        score = nm.add(score.sigmoid(), second)
-    return score
+    pooled = kmax_pool(grid, k, context_length, response_length, kl // k)  # [B, kL]
+    scores = [nm.add(dense_score(pooled, weight), bias) for weight, bias in heads]
+    return scores[0] if len(scores) == 1 else nm.add(scores[0].sigmoid(), scores[1])

@@ -12,6 +12,12 @@ decides the parameters (``parameter_spec``), the id columns
                   words; ``ccn_head`` ``parallel`` gives it a second dense
                   head, scored sigmoid(first) + second.
 
+``forward_batch`` hands each branch's tensors, looked up by these names, to
+the layers.  ``RankingModel``'s constructor zeroes every table's padding
+row (row 0), so built and loaded models alike start with it zero;
+``randomize_parameters`` zeroes it again after its redraw, and
+``layers.embed_lookup`` never scatters gradient into it.
+
 ``dual_lstm`` is one high-band pair branch.  ``mfcw_lstm`` has a pair and a
 common-word branch per band; the two bands have their own embedding tables
 and the common-word encoders their own LSTM weights.  ``ccn_lstm`` pairs a
@@ -29,11 +35,16 @@ takes each pair's context ids.
 Checkpoints are a binary container: 8-byte magic ``CCNRANK1``, a 4-byte
 little-endian header length, a canonical-JSON header (format version,
 model config, vocabulary hash, ordered parameter manifest), then the raw
-little-endian row-major float payloads in manifest order.
+little-endian row-major float payloads in manifest order.  Format version 2
+ends with the 32-byte sha256 of every byte before it (magic, length, header
+and payloads), so a damaged file raises ``CheckpointError`` instead of
+loading as another model; version-1 files, which end at the payloads, still
+load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -43,9 +54,6 @@ import numpy as np
 from . import numerics as nm
 from . import vocab as vb
 from .layers import (
-    CcnParams,
-    EmbeddingTable,
-    LstmParams,
     apply_pretrained,
     bilinear_score,
     cross_convolution,
@@ -82,7 +90,8 @@ BRANCHES = {
 }
 
 CHECKPOINT_MAGIC = b"CCNRANK1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_DIGEST_SIZE = 32  # the sha256 that ends a version-2 file
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
 
 
@@ -125,19 +134,29 @@ def parameter_spec(config: ModelConfig, vocab_size: int):
     branches = BRANCHES[config.architecture]
     spec = [(table, (vocab_size, n)) for table in _embedding_names(config)]
     for prefix in dict.fromkeys(encoder for _, _, _, encoder, _ in branches if encoder):
-        spec += [(f"{prefix}.w_in", (4 * h, n)), (f"{prefix}.w_rec", (4 * h, h)),
-                 (f"{prefix}.bias", (4 * h,))]
+        spec += zip(_lstm_names(prefix), ((4 * h, n), (4 * h, h), (4 * h,)))
     for kind, _, _, _, head in branches:
         if kind == PAIR:
             spec.append((head, (h, h)))
         elif kind == COMMON:
             spec.append((head, (h,)))
         else:
-            for dense in (head, f"{head}2") if config.ccn_head == "parallel" else (head,):
-                spec += [(f"{dense}.weight", (kl,)), (f"{dense}.bias", (1,))]
+            for weight, bias in _dense_head_names(config, head):
+                spec += [(weight, (kl,)), (bias, (1,))]
     if len(branches) > 1:
         spec.append(("branch_weights", (len(branches),)))
     return spec
+
+
+def _lstm_names(prefix):
+    """The encoder's input weight, recurrent weight and bias, in ``lstm_encode``'s order."""
+    return f"{prefix}.w_in", f"{prefix}.w_rec", f"{prefix}.bias"
+
+
+def _dense_head_names(config: ModelConfig, head):
+    """(weight, bias) names of a ccn branch's dense heads: one, or two for the parallel head."""
+    heads = (head, f"{head}2") if config.ccn_head == "parallel" else (head,)
+    return [(f"{dense}.weight", f"{dense}.bias") for dense in heads]
 
 
 class RankingModel:
@@ -149,9 +168,8 @@ class RankingModel:
         self.vocab: Vocabulary | None = None
         self.split: FrequencySplit | None = None
         self.vocab_hash = vocab_hash
-        # table views are built once so the zero-pad-row constructor contract
-        # runs at model construction, never during training steps
-        self._tables = {name: EmbeddingTable(params[name]) for name in _embedding_names(config)}
+        for name in _embedding_names(config):  # the padding row, which embed_lookup maps pads to
+            params[name].data[0, :] = 0.0
         if vocab is not None:
             self.attach_vocab(vocab)
 
@@ -167,28 +185,6 @@ class RankingModel:
         self.vocab = vocab
         self.split = vb.split_by_frequency(vocab, self.config.frequency_threshold)
         self.vocab_hash = digest
-
-    # layer-parameter views -------------------------------------------------
-
-    def embedding(self, name) -> EmbeddingTable:
-        return self._tables[name]
-
-    def lstm(self, prefix) -> LstmParams:
-        return LstmParams(
-            w_in=self.params[f"{prefix}.w_in"],
-            w_rec=self.params[f"{prefix}.w_rec"],
-            bias=self.params[f"{prefix}.bias"],
-        )
-
-    def ccn(self, head) -> CcnParams:
-        parallel = self.config.ccn_head == "parallel"
-        return CcnParams(
-            k=self.config.k,
-            weight=self.params[f"{head}.weight"],
-            bias=self.params[f"{head}.bias"],
-            weight2=self.params[f"{head}2.weight"] if parallel else None,
-            bias2=self.params[f"{head}2.bias"] if parallel else None,
-        )
 
     # scoring ----------------------------------------------------------------
 
@@ -228,7 +224,6 @@ def build_model(config: ModelConfig, vocab: Vocabulary, pretrained_vectors=None)
     if pretrained_vectors is not None:
         table = params[_embedding_names(config)[0]]
         coverage = apply_pretrained(table.data, vocab, pretrained_vectors)
-        table.data[0, :] = 0.0
     model = RankingModel(config, params, vocab=vocab)
     return model, coverage
 
@@ -350,31 +345,27 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
 def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Tensor:
     """Probabilities for the prepared rows; differentiable w.r.t. model parameters."""
     cols, context_of = prepared.select(rows)
+    p = model.params
     branches = BRANCHES[model.config.architecture]
     total = None
     for i, (kind, band, table, encoder, head) in enumerate(branches):
-        emb = model.embedding(table)
+        emb = p[table]
+        lstm = [p[name] for name in _lstm_names(encoder)] if encoder else None
         if kind == COMMON:
             ids, lengths = cols[f"common_{band}"]
-            encoded = lstm_encode(embed_lookup(ids, emb), lengths, model.lstm(encoder))
-            score = dense_score(encoded, model.params[head])
+            score = dense_score(lstm_encode(embed_lookup(ids, emb), lengths, *lstm), p[head])
         else:
             (ctx_ids, ctx_len), (resp_ids, resp_len) = cols[f"ctx_{band}"], cols[f"resp_{band}"]
             if kind == PAIR:
-                enc = model.lstm(encoder)
-                c = lstm_encode(embed_lookup(ctx_ids, emb), ctx_len, enc)  # one row per context
-                r = lstm_encode(embed_lookup(resp_ids, emb), resp_len, enc)
-                score = bilinear_score(gather_rows(c, context_of), r, model.params[head])
+                c = lstm_encode(embed_lookup(ctx_ids, emb), ctx_len, *lstm)  # one row per context
+                r = lstm_encode(embed_lookup(resp_ids, emb), resp_len, *lstm)
+                score = bilinear_score(gather_rows(c, context_of), r, p[head])
             else:  # the grid is per pair: each pair takes its context's ids
-                score = cross_convolution(
-                    embed_lookup(ctx_ids[context_of], emb),
-                    embed_lookup(resp_ids, emb),
-                    model.ccn(head),
-                    context_length=ctx_len[context_of],
-                    response_length=resp_len,
-                )
+                heads = [(p[weight], p[bias]) for weight, bias in _dense_head_names(model.config, head)]
+                score = cross_convolution(embed_lookup(ctx_ids[context_of], emb), embed_lookup(resp_ids, emb),
+                                          model.config.k, heads, ctx_len[context_of], resp_len)
         if len(branches) > 1:  # weighted sum of the raw branch scores
-            score = nm.mul(model.params["branch_weights"].narrow(0, i, 1), score)
+            score = nm.mul(p["branch_weights"].narrow(0, i, 1), score)
         total = score if total is None else nm.add(total, score)
     return nm.sigmoid(total)
 
@@ -398,12 +389,12 @@ def save_checkpoint(model: RankingModel, path):
         "manifest": manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    digest = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for chunk in payload:
+        for chunk in (CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob, *payload):
             f.write(chunk)
+            digest.update(chunk)
+        f.write(digest.digest())
 
 
 def _decode_header(header, path):
@@ -411,9 +402,9 @@ def _decode_header(header, path):
     parsed header.  Any malformed field raises CheckpointError."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
+    if header.get("format_version") not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
-            f"{path}: format version {header.get('format_version')} != {CHECKPOINT_VERSION}"
+            f"{path}: format version {header.get('format_version')} is not 1 or {CHECKPOINT_VERSION}"
         )
     try:
         keys = set(header["config"])
@@ -479,8 +470,13 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> RankingModel:
     missing = set(expected) - set(params.names())
     if missing:
         raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")
+    digest_size = 0 if header["format_version"] == 1 else _DIGEST_SIZE
+    if offset + digest_size > len(raw):
+        raise CheckpointError(f"{path}: truncated checksum")
+    if offset + digest_size != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - offset - digest_size} trailing bytes after payload")
+    if digest_size and hashlib.sha256(memoryview(raw)[:offset]).digest() != raw[offset:]:
+        raise CheckpointError(f"{path}: sha256 mismatch: the file is damaged")
     model = RankingModel(config, params, vocab_hash=vocab_hash)
     if vocab is not None:
         model.attach_vocab(vocab)

@@ -95,9 +95,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     # -- operator sugar ---------------------------------------------------
 
     def __add__(self, other):

@@ -149,7 +149,7 @@ class TestCriterion2OracleEquivalence:
         for _ in range(10_000):
             values = rng.normal(size=int(rng.integers(2, 24)))
             k = int(rng.integers(1, len(values) + 1))
-            pooled = kmax_pool(Tensor(values.reshape(1, 1, -1)), k, [len(values)])
+            pooled = kmax_pool(Tensor(values.reshape(1, 1, -1)), k, [len(values)], [1], 1)
             assert pooled.data[0].tolist() == np.sort(values)[::-1][:k].tolist()
 
         checked = 0
@@ -312,34 +312,32 @@ class TestCriterion7InvariantSuites:
         results = {}
 
         # pad rows receive no gradient and pad embeddings contribute nothing
-        from ccnrank.layers import EmbeddingTable, embed_lookup
+        from ccnrank.layers import embed_lookup, init_embedding_matrix
         from ccnrank.numerics import ParameterSet, tsum
 
         ps = ParameterSet()
-        table = EmbeddingTable(ps.add("emb", rng.normal(size=(6, 4))))
+        table = ps.add("emb", init_embedding_matrix(6, 4, rng))  # row 0, the padding row, is zero
         out = embed_lookup(np.array([3, 0, 0, 5]), table)
         backward(tsum(nm.mul(out, out)))
         results["pad_gradient_frozen"] = bool(
-            np.array_equal(table.matrix.grad[PAD_ID], np.zeros(4))
+            np.array_equal(table.grad[PAD_ID], np.zeros(4))
             and np.array_equal(out.data[:, 1], np.zeros(4))
         )
 
         # lstm encoding ignores positions beyond the true length
-        from ccnrank.layers import LstmParams, lstm_encode
+        from ccnrank.layers import lstm_encode
         from ccnrank.layers import init_lstm_arrays
 
         w_in, w_rec, bias = init_lstm_arrays(3, 4, rng)
         ps2 = ParameterSet()
-        params = LstmParams(
-            w_in=ps2.add("w", w_in), w_rec=ps2.add("u", w_rec), bias=ps2.add("b", bias)
-        )
+        params = (ps2.add("w", w_in), ps2.add("u", w_rec), ps2.add("b", bias))
         x = rng.normal(size=(1, 3, 7))
         y = x.copy()
         y[..., 4:] = rng.normal(size=(3, 3))
         length = np.array([4])
         results["lstm_padding_invariance"] = bool(
             np.array_equal(
-                lstm_encode(Tensor(x), length, params).data, lstm_encode(Tensor(y), length, params).data
+                lstm_encode(Tensor(x), length, *params).data, lstm_encode(Tensor(y), length, *params).data
             )
         )
 

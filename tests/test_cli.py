@@ -1,11 +1,12 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import pytest
 
 import numpy as np
 
-from ccnrank import training
+from ccnrank import models, training
 from ccnrank.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from ccnrank.corpus import load_eval, load_train
 from ccnrank.models import ARCHITECTURES, ModelConfig, load_checkpoint, save_checkpoint
@@ -178,22 +179,45 @@ class TestTrain:
 
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_non_finite_gradient_under_clip_norm_is_numeric_failure(self, run_in_tmpdir, capsys):
-        # A first coordinate beyond float32's range is infinite in a float32
-        # table.  It saturates every gate, so the loss stays finite while the
-        # input weights' gradient is 0 * inf = NaN.
+    def test_non_finite_gradient_under_clip_norm_is_numeric_failure(self, run_in_tmpdir, monkeypatch, capsys):
+        # An infinite first coordinate in every word's embedding saturates
+        # every gate, so the loss stays finite while the input weights'
+        # gradient is 0 * inf = NaN.  No input file can set it (vector files
+        # reject values a table cannot hold), so the built model gets it.
+        build_model = models.build_model
+
+        def build_with_infinite_embeddings(*args, **kwargs):
+            model, coverage = build_model(*args, **kwargs)
+            model.params["embedding_high"].data[1:, 0] = np.inf
+            return model, coverage
+
+        monkeypatch.setattr(models, "build_model", build_with_infinite_embeddings)
         data = gen(run_in_tmpdir)
-        vectors = run_in_tmpdir / "vectors.txt"
-        words = build_vocab(load_train(data / "train.csv")).word_to_id
-        vectors.write_text("".join(f"{w} 1e39 0.25 0.25 0.25\n" for w in words))
-        rc, ckpt = train_tiny(
-            run_in_tmpdir, data,
-            extra=("--embeddings", str(vectors), "--clip-norm", "1.0", "--precision", "float32"),
-        )
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--clip-norm", "1.0"))
         assert rc == EXIT_NUMERIC
         assert "non-finite gradient norm in epoch 1, batch 0" in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_vector_beyond_float32_is_usage_error(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        vectors = run_in_tmpdir / "vectors.txt"
+        word = sorted(build_vocab(load_train(data / "train.csv")).word_to_id)[-1]
+        vectors.write_text(f"{word} 1e39 0.25 0.25 0.25\n")
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--embeddings", str(vectors), "--precision", "float32"))
+        assert rc == EXIT_USAGE
+        assert f"pretrained vector for {word!r} overflows the table's float32" in capsys.readouterr().err
+        assert not ckpt.exists()
+        rc, _ = train_tiny(run_in_tmpdir, data, extra=("--embeddings", str(vectors)))  # fits float64
+        assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+    def test_learning_rate_must_be_finite_and_positive(self, run_in_tmpdir, rate, capsys):
+        data = gen(run_in_tmpdir)
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--learning-rate", rate))
+        assert rc == EXIT_USAGE
+        assert f"learning_rate must be finite and > 0, got {float(rate)}" in capsys.readouterr().err
+        # rejected before anything is written
+        assert sorted(p.name for p in run_in_tmpdir.iterdir()) == ["data"]
 
     @pytest.mark.parametrize("bound", ["0", "-1", "nan"])
     def test_clip_norm_must_be_positive(self, run_in_tmpdir, bound, capsys):
@@ -367,6 +391,30 @@ class TestEvaluate:
              "--eval", str(data / "eval.csv")]
         )
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_cwf_scale_must_be_finite_and_non_negative(self, run_in_tmpdir, scale, capsys):
+        data = gen(run_in_tmpdir)
+        rc, ckpt = train_tiny(run_in_tmpdir, data)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["evaluate", "--models", str(ckpt), "--vocab", str(run_in_tmpdir / "model.ckpt.vocab.txt"),
+                       "--eval", str(data / "eval.csv"), "--cwf-scale", scale])
+        assert rc == EXIT_USAGE
+        assert f"cwf scale must be finite and >= 0, got {float(scale)}" in capsys.readouterr().err
+
+    def test_damaged_checkpoint_is_usage_error(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        rc, ckpt = train_tiny(run_in_tmpdir, data)
+        blob = bytearray(ckpt.read_bytes())
+        blob[len(blob) // 2] ^= 0x10  # a payload byte
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(["evaluate", "--models", str(ckpt), "--vocab", str(run_in_tmpdir / "model.ckpt.vocab.txt"),
+                   "--eval", str(data / "eval.csv")])
+        assert rc == EXIT_USAGE
+        assert "sha256 mismatch" in capsys.readouterr().err
 
     def test_cwf_scale_and_tune_cwf_are_exclusive(self, run_in_tmpdir):
         data = gen(run_in_tmpdir)

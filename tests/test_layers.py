@@ -6,10 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccnrank import numerics as nm
 from ccnrank.layers import (
-    CcnParams,
     ConfigurationError,
-    EmbeddingTable,
-    LstmParams,
     apply_pretrained,
     bilinear_score,
     cross_convolution,
@@ -26,9 +23,12 @@ from ccnrank.numerics import ContractError, ParameterSet, ShapeError, Tensor, ba
 
 
 def table_from(array, ps=None, name="emb"):
+    """An embedding table parameter with its padding row zeroed, as the models keep it."""
     if ps is None:
         ps = ParameterSet()
-    return EmbeddingTable(ps.add(name, np.asarray(array, dtype=np.float64))), ps
+    array = np.array(array, dtype=np.float64)
+    array[0] = 0.0
+    return ps.add(name, array), ps
 
 
 class TestEmbedLookup:
@@ -40,8 +40,8 @@ class TestEmbedLookup:
     def test_columns_are_rows_of_table(self):
         table, _ = table_from(np.arange(12.0).reshape(4, 3))
         out = embed_lookup(np.array([[2, 3, 0, 0]]), table)
-        np.testing.assert_array_equal(out.data[0, :, 0], table.matrix.data[2])
-        np.testing.assert_array_equal(out.data[0, :, 1], table.matrix.data[3])
+        np.testing.assert_array_equal(out.data[0, :, 0], table.data[2])
+        np.testing.assert_array_equal(out.data[0, :, 1], table.data[3])
         np.testing.assert_array_equal(out.data[0, :, 2:], np.zeros((3, 2)))
 
     def test_out_of_range_id(self):
@@ -55,7 +55,7 @@ class TestEmbedLookup:
         ids = np.array([[2, 2, 4, 0, 0]])
         out = embed_lookup(ids, table)
         backward(nm.tsum(out))
-        grad = table.matrix.grad
+        grad = table.grad
         np.testing.assert_array_equal(grad[2], np.full(3, 2.0))
         np.testing.assert_array_equal(grad[4], np.full(3, 1.0))
         np.testing.assert_array_equal(grad[0], np.zeros(3))
@@ -64,8 +64,7 @@ class TestEmbedLookup:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        ps = ParameterSet()
-        table = EmbeddingTable(ps.add("emb", rng.normal(size=(6, 4))))
+        table, ps = table_from(rng.normal(size=(6, 4)))
         ids = np.array([[2, 5, 1, 0], [3, 3, 0, 0]])
 
         def loss():
@@ -95,56 +94,44 @@ def manual_lstm_cell(x, h, c, w_in, w_rec, bias, hidden):
 
 
 def make_lstm(input_dim, hidden, rng, ps=None, prefix="enc"):
+    """(w_in, w_rec, bias) parameters of a freshly initialized encoder, and their set."""
     if ps is None:
         ps = ParameterSet()
-    w_in, w_rec, bias = init_lstm_arrays(input_dim, hidden, rng)
-    params = LstmParams(
-        w_in=ps.add(f"{prefix}.w_in", w_in),
-        w_rec=ps.add(f"{prefix}.w_rec", w_rec),
-        bias=ps.add(f"{prefix}.bias", bias),
-    )
+    arrays = init_lstm_arrays(input_dim, hidden, rng)
+    params = tuple(ps.add(f"{prefix}.{part}", a) for part, a in zip(("w_in", "w_rec", "bias"), arrays))
     return params, ps
 
 
 class TestLstmEncode:
     def test_zero_parameters_give_zero_output(self):
         ps = ParameterSet()
-        params = LstmParams(
-            w_in=ps.add("w", np.zeros((8, 3))),
-            w_rec=ps.add("u", np.zeros((8, 2))),
-            bias=ps.add("b", np.zeros(8)),
-        )
+        params = (ps.add("w", np.zeros((8, 3))), ps.add("u", np.zeros((8, 2))), ps.add("b", np.zeros(8)))
         x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 4)))
-        out = lstm_encode(x, np.array([4]), params)
+        out = lstm_encode(x, np.array([4]), *params)
         np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
 
     def test_zero_length_gives_zero_vector(self):
         rng = np.random.default_rng(1)
         params, _ = make_lstm(3, 2, rng)
-        out = lstm_encode(Tensor(rng.normal(size=(1, 3, 5))), np.array([0]), params)
+        out = lstm_encode(Tensor(rng.normal(size=(1, 3, 5))), np.array([0]), *params)
         np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
 
     def test_single_step_matches_cell_oracle(self):
         rng = np.random.default_rng(2)
         params, _ = make_lstm(2, 2, rng)
         x = rng.normal(size=(1, 2, 1))
-        out = lstm_encode(Tensor(x), np.array([1]), params)
-        h, _ = manual_lstm_cell(
-            x[0, :, 0], np.zeros(2), np.zeros(2),
-            params.w_in.data, params.w_rec.data, params.bias.data, 2,
-        )
+        out = lstm_encode(Tensor(x), np.array([1]), *params)
+        h, _ = manual_lstm_cell(x[0, :, 0], np.zeros(2), np.zeros(2), *(t.data for t in params), 2)
         np.testing.assert_allclose(out.data[0], h, atol=1e-10)
 
     def test_multi_step_matches_cell_oracle(self):
         rng = np.random.default_rng(3)
         params, _ = make_lstm(3, 4, rng)
         x = rng.normal(size=(1, 3, 5))
-        out = lstm_encode(Tensor(x), np.array([5]), params)
+        out = lstm_encode(Tensor(x), np.array([5]), *params)
         h, c = np.zeros(4), np.zeros(4)
         for t in range(5):
-            h, c = manual_lstm_cell(
-                x[0, :, t], h, c, params.w_in.data, params.w_rec.data, params.bias.data, 4
-            )
+            h, c = manual_lstm_cell(x[0, :, t], h, c, *(t_.data for t_ in params), 4)
         np.testing.assert_allclose(out.data[0], h, atol=1e-10)
 
     def test_padding_invariance(self):
@@ -152,10 +139,10 @@ class TestLstmEncode:
         params, _ = make_lstm(3, 4, rng)
         x = rng.normal(size=(1, 3, 6))
         x[..., 4:] = 0.0
-        out_a = lstm_encode(Tensor(x), np.array([4]), params)
+        out_a = lstm_encode(Tensor(x), np.array([4]), *params)
         garbage = x.copy()
         garbage[..., 4:] = rng.normal(size=(3, 2))
-        out_b = lstm_encode(Tensor(garbage), np.array([4]), params)
+        out_b = lstm_encode(Tensor(garbage), np.array([4]), *params)
         np.testing.assert_array_equal(out_a.data, out_b.data)
 
     def test_batched_matches_per_instance(self):
@@ -163,9 +150,9 @@ class TestLstmEncode:
         params, _ = make_lstm(3, 4, rng)
         xs = rng.normal(size=(3, 3, 6))
         lengths = np.array([6, 2, 0])
-        batch_out = lstm_encode(Tensor(xs), lengths, params)
+        batch_out = lstm_encode(Tensor(xs), lengths, *params)
         for b in range(3):
-            alone = lstm_encode(Tensor(xs[b : b + 1]), lengths[b : b + 1], params)
+            alone = lstm_encode(Tensor(xs[b : b + 1]), lengths[b : b + 1], *params)
             np.testing.assert_allclose(batch_out.data[b], alone.data[0], atol=1e-12)
 
     def test_gradients(self):
@@ -174,7 +161,7 @@ class TestLstmEncode:
         x = ps.add("x", rng.normal(size=(1, 3, 4)))
 
         def loss():
-            h = lstm_encode(x, np.array([3]), params)
+            h = lstm_encode(x, np.array([3]), *params)
             return nm.tsum(nm.mul(h, h))
 
         report = finite_diff_check(loss, ps, max_coords_per_param=16)
@@ -192,7 +179,7 @@ class TestLstmEncode:
         weights = Tensor(rng.normal(size=(4, 4)))
 
         def loss():
-            return nm.tsum(nm.tsum(nm.mul(lstm_encode(x, lengths, params), weights), axis=1))
+            return nm.tsum(nm.tsum(nm.mul(lstm_encode(x, lengths, *params), weights), axis=1))
 
         report = finite_diff_check(loss, ps, max_coords_per_param=60)
         assert set(report.errors_by_parameter) == {"enc.w_in", "enc.w_rec", "enc.bias", "x"}
@@ -203,12 +190,12 @@ class TestLstmEncode:
         params, ps = make_lstm(3, 4, rng)
         x = ps.add("x", rng.normal(size=(3, 3, 6)))
         lengths = np.array([2, 6, 0])
-        backward(nm.tsum(nm.tsum(lstm_encode(x, lengths, params), axis=1)))
+        backward(nm.tsum(nm.tsum(lstm_encode(x, lengths, *params), axis=1)))
         for b, n in enumerate(lengths):
             assert np.all(x.grad[b, :, n:] == 0.0)
             assert np.all(x.grad[b, :, :n] != 0.0)
         lone = ps.add("lone", rng.normal(size=(1, 3, 6)))
-        backward(nm.tsum(lstm_encode(lone, np.array([4]), params)))
+        backward(nm.tsum(lstm_encode(lone, np.array([4]), *params)))
         assert np.all(lone.grad[..., 4:] == 0.0)
 
     def test_no_grad_output_has_no_parents(self):
@@ -216,20 +203,20 @@ class TestLstmEncode:
         params, ps = make_lstm(3, 4, rng)
         x = ps.add("x", rng.normal(size=(2, 3, 5)))
         with nm.no_grad():
-            out = lstm_encode(x, np.array([5, 3]), params)
+            out = lstm_encode(x, np.array([5, 3]), *params)
         assert not out.requires_grad
         assert out._parents == () and out._backward_fn is None
-        taped = lstm_encode(x, np.array([5, 3]), params)
-        assert taped._parents == (x, params.w_in, params.w_rec, params.bias)
+        taped = lstm_encode(x, np.array([5, 3]), *params)
+        assert taped._parents == (x, *params)
         np.testing.assert_array_equal(out.data, taped.data)
 
     def test_keeps_float32(self):
         rng = np.random.default_rng(10)
         ps = ParameterSet()
         arrays = init_lstm_arrays(3, 4, rng)
-        params = LstmParams(*(ps.add(n, a.astype(np.float32)) for n, a in zip("wub", arrays)))
+        params = [ps.add(n, a.astype(np.float32)) for n, a in zip("wub", arrays)]
         x = ps.add("x", rng.normal(size=(2, 3, 5)).astype(np.float32))
-        out = lstm_encode(x, np.array([5, 2]), params)
+        out = lstm_encode(x, np.array([5, 2]), *params)
         assert out.dtype == np.float32
         backward(nm.tsum(nm.tsum(out, axis=1)))
         assert {t.grad.dtype for _, t in ps.items()} == {np.dtype(np.float32)}
@@ -246,12 +233,12 @@ class TestLstmEncode:
         xs = rng.normal(size=(40, 32, steps))
         lengths = rng.integers(0, steps + 1, size=40)
         lengths[0] = steps
-        full = lstm_encode(Tensor(xs), lengths, params).data
+        full = lstm_encode(Tensor(xs), lengths, *params).data
         for rows in (1, 2, 3, 9, 10, 26):
-            got = lstm_encode(Tensor(xs[:rows]), lengths[:rows], params).data
+            got = lstm_encode(Tensor(xs[:rows]), lengths[:rows], *params).data
             assert got.tobytes() == full[:rows].tobytes(), rows
         for row in (5, 39):  # a lone row from inside the batch
-            alone = lstm_encode(Tensor(xs[row : row + 1]), lengths[row : row + 1], params).data
+            alone = lstm_encode(Tensor(xs[row : row + 1]), lengths[row : row + 1], *params).data
             assert alone.tobytes() == full[row : row + 1].tobytes(), row
 
     def test_one_row_batch_gradients(self):
@@ -261,7 +248,7 @@ class TestLstmEncode:
         weights = Tensor(rng.normal(size=(1, 4)))
 
         def loss():
-            return nm.tsum(nm.tsum(nm.mul(lstm_encode(x, np.array([4]), params), weights), axis=1))
+            return nm.tsum(nm.tsum(nm.mul(lstm_encode(x, np.array([4]), *params), weights), axis=1))
 
         report = finite_diff_check(loss, ps, max_coords_per_param=20)
         assert report.passed, report
@@ -373,15 +360,15 @@ class TestKmax:
     """k-max pooling of one sequence: ``kmax_pool`` on a one-row, one-word grid."""
 
     def test_single_max(self):
-        out = kmax_pool(Tensor(np.array([[[0.2, -0.5, 0.9]]])), 1, [3])
+        out = kmax_pool(Tensor(np.array([[[0.2, -0.5, 0.9]]])), 1, [3], [1], 1)
         np.testing.assert_array_equal(out.data, [[0.9]])
 
     def test_descending(self):
-        out = kmax_pool(Tensor(np.array([[[1.0, 3.0, 2.0]]])), 2, [3])
+        out = kmax_pool(Tensor(np.array([[[1.0, 3.0, 2.0]]])), 2, [3], [1], 1)
         np.testing.assert_array_equal(out.data, [[3.0, 2.0]])
 
     def test_short_input_zero_fills(self):
-        out = kmax_pool(Tensor(np.array([[[4.0, -1.0, 7.0]]])), 3, [2])
+        out = kmax_pool(Tensor(np.array([[[4.0, -1.0, 7.0]]])), 3, [2], [1], 1)
         np.testing.assert_array_equal(out.data, [[4.0, -1.0, 0.0]])
 
     def test_matches_sort_oracle(self):
@@ -389,17 +376,17 @@ class TestKmax:
         for _ in range(300):
             values = rng.normal(size=20)
             k = int(rng.integers(1, 8))
-            out = kmax_pool(Tensor(values.reshape(1, 1, 20)), k, [20])
+            out = kmax_pool(Tensor(values.reshape(1, 1, 20)), k, [20], [1], 1)
             expected = np.sort(values)[::-1][:k]
             np.testing.assert_array_equal(out.data[0], expected)
 
     def test_gradient_on_selected_positions_first_tie_wins(self):
         values = Tensor(np.array([[[2.0, 5.0, 5.0, 1.0]]]), requires_grad=True)
-        out = kmax_pool(values, 2, [4])
+        out = kmax_pool(values, 2, [4], [1], 1)
         backward(nm.tsum(out))
         np.testing.assert_array_equal(values.grad, [[[0.0, 1.0, 1.0, 0.0]]])
         values2 = Tensor(np.array([[[2.0, 5.0, 5.0, 1.0]]]), requires_grad=True)
-        backward(nm.tsum(kmax_pool(values2, 1, [4])))
+        backward(nm.tsum(kmax_pool(values2, 1, [4], [1], 1)))
         np.testing.assert_array_equal(values2.grad, [[[0.0, 1.0, 0.0, 0.0]]])
 
     def test_gradient_is_indicator_of_selection(self):
@@ -408,7 +395,7 @@ class TestKmax:
             arr = rng.normal(size=(1, 1, 10))
             k = int(rng.integers(1, 10))
             t = Tensor(arr, requires_grad=True)
-            backward(nm.tsum(kmax_pool(t, k, [10])))
+            backward(nm.tsum(kmax_pool(t, k, [10], [1], 1)))
             assert t.grad.sum() == k
             assert set(np.unique(t.grad)) <= {0.0, 1.0}
 
@@ -457,113 +444,104 @@ class TestKmaxPool:
 
     def test_infinite_winner_pools_and_gets_gradient(self):
         t = Tensor(np.array([[[1.0, np.inf, 3.0]]]), requires_grad=True)
-        out = kmax_pool(t, 1, [3])
+        out = kmax_pool(t, 1, [3], [1], 1)
         np.testing.assert_array_equal(out.data, [[np.inf]])
         backward(nm.tsum(out))
         np.testing.assert_array_equal(t.grad, [[[0.0, 1.0, 0.0]]])
         low = Tensor(np.array([[[-np.inf, 2.0, 5.0]]]), requires_grad=True)
-        out = kmax_pool(low, 3, [2])  # a real -inf still beats the padded column
+        out = kmax_pool(low, 3, [2], [1], 1)  # a real -inf still beats the padded column
         np.testing.assert_array_equal(out.data, [[2.0, -np.inf, 0.0]])
         backward(nm.tsum(out))
         np.testing.assert_array_equal(low.grad, [[[1.0, 1.0, 0.0]]])
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_nan_is_pooled_not_dropped(self, k):
-        out = kmax_pool(Tensor(np.array([[[1.0, np.nan, 3.0]]])), k, [3])
+        out = kmax_pool(Tensor(np.array([[[1.0, np.nan, 3.0]]])), k, [3], [1], 1)
         assert np.isnan(out.data[0, 0])
         assert out.data[0, 1:].tolist() == [3.0][: k - 1]
 
     def test_output_rows_cannot_drop_grid_rows(self):
         with pytest.raises(ShapeError):
-            kmax_pool(Tensor(np.zeros((1, 3, 2))), 1, [2], out_rows=2)
+            kmax_pool(Tensor(np.zeros((1, 3, 2))), 1, [2], [3], 2)
 
 
-def ccn_params(ps, k, resp_len, weight=None, bias=0.0):
+def ccn_head(ps, k, resp_len, weight=None, bias=0.0):
+    """One dense head, [(weight, bias)], over k * resp_len pooled values."""
     w = np.zeros(k * resp_len) if weight is None else np.asarray(weight, dtype=np.float64)
-    return CcnParams(
-        k=k,
-        weight=ps.add("ccn.weight", w),
-        bias=ps.add("ccn.bias", np.array([bias])),
-    )
+    return [(ps.add("ccn.weight", w), ps.add("ccn.bias", np.array([bias])))]
 
 
 class TestCrossConvolution:
     def test_zero_response_scores_bias(self):
         ps = ParameterSet()
-        params = ccn_params(ps, 1, 3, weight=np.ones(3), bias=0.7)
+        heads = ccn_head(ps, 1, 3, weight=np.ones(3), bias=0.7)
         ctx = Tensor(np.random.default_rng(0).normal(size=(1, 2, 4)))
         resp = Tensor(np.zeros((1, 2, 3)))
-        score = cross_convolution(ctx, resp, params, context_length=[4])
+        score = cross_convolution(ctx, resp, 1, heads, [4], [3])
         assert score.item() == pytest.approx(0.7)
 
     def test_hand_evaluated_case(self):
         # unit-basis context columns, response = e1: grid row [1, 0], k=1
         ps = ParameterSet()
-        params = ccn_params(ps, 1, 1, weight=[1.0], bias=0.0)
+        heads = ccn_head(ps, 1, 1, weight=[1.0], bias=0.0)
         ctx = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
         resp = Tensor(np.array([[[1.0], [0.0]]]))
-        score = cross_convolution(ctx, resp, params, context_length=[2])
+        score = cross_convolution(ctx, resp, 1, heads, [2], [1])
         assert score.item() == pytest.approx(1.0)
 
     def test_pooled_in_response_order(self):
         # two response words with distinct best matches
         ps = ParameterSet()
-        params = ccn_params(ps, 1, 2, weight=[1.0, 10.0], bias=0.0)
+        heads = ccn_head(ps, 1, 2, weight=[1.0, 10.0], bias=0.0)
         ctx = Tensor(np.array([[[2.0, 0.0], [0.0, 3.0]]]))
         resp = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
-        score = cross_convolution(ctx, resp, params, context_length=[2])
+        score = cross_convolution(ctx, resp, 1, heads, [2], [2])
         # response word 0 pools 2.0, word 1 pools 3.0 -> 1*2 + 10*3
         assert score.item() == pytest.approx(32.0)
 
     def test_pad_columns_cannot_win_pooling(self):
         ps = ParameterSet()
-        params = ccn_params(ps, 1, 1, weight=[1.0], bias=0.0)
+        heads = ccn_head(ps, 1, 1, weight=[1.0], bias=0.0)
         ctx = Tensor(np.array([[[-1.0, 0.0], [-1.0, 0.0]]]))  # second column is padding
         resp = Tensor(np.array([[[1.0], [1.0]]]))
-        score = cross_convolution(ctx, resp, params, context_length=[1])
+        score = cross_convolution(ctx, resp, 1, heads, [1], [1])
         assert score.item() == pytest.approx(-2.0)  # not the 0.0 of the pad column
 
     def test_invariant_to_permuting_pad_columns(self):
         rng = np.random.default_rng(13)
         ps = ParameterSet()
-        params = ccn_params(ps, 2, 3, weight=rng.normal(size=6), bias=0.1)
+        heads = ccn_head(ps, 2, 3, weight=rng.normal(size=6), bias=0.1)
         ctx = rng.normal(size=(1, 4, 6))
         ctx[..., 4:] = 0.0
         resp = Tensor(rng.normal(size=(1, 4, 3)))
-        base = cross_convolution(Tensor(ctx), resp, params, context_length=[4])
+        base = cross_convolution(Tensor(ctx), resp, 2, heads, [4], [3])
         permuted = ctx.copy()
         permuted[..., [4, 5]] = permuted[..., [5, 4]]
-        swapped = cross_convolution(Tensor(permuted), resp, params, context_length=[4])
+        swapped = cross_convolution(Tensor(permuted), resp, 2, heads, [4], [3])
         assert base.item() == swapped.item()
 
     def test_k_larger_than_context_rejected(self):
-        ps = ParameterSet()
-        params = ccn_params(ps, 4, 2, weight=np.zeros(8))
-        with pytest.raises(ConfigurationError):
-            cross_convolution(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 2))), params)
+        heads = ccn_head(ParameterSet(), 4, 2)
+        for k in (4, 0):  # k must be in [1, context length]
+            with pytest.raises(ConfigurationError):
+                cross_convolution(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 2))), k, heads, [3], [2])
 
     def test_parallel_head(self):
         ps = ParameterSet()
-        params = CcnParams(
-            k=1,
-            weight=ps.add("w1", np.zeros(2)),
-            bias=ps.add("b1", np.zeros(1)),
-            weight2=ps.add("w2", np.zeros(2)),
-            bias2=ps.add("b2", np.full(1, 0.25)),
-        )
+        heads = [(ps.add("w1", np.zeros(2)), ps.add("b1", np.zeros(1))),
+                 (ps.add("w2", np.zeros(2)), ps.add("b2", np.full(1, 0.25)))]
         ctx = Tensor(np.zeros((1, 2, 2)))
         resp = Tensor(np.zeros((1, 2, 2)))
-        score = cross_convolution(ctx, resp, params, context_length=[2])
+        score = cross_convolution(ctx, resp, 1, heads, [2], [2])
         # sigmoid(first head's 0) + second head's bias
         assert score.item() == pytest.approx(0.75)
         with pytest.raises(ConfigurationError):
-            CcnParams(k=1, weight=params.weight, bias=params.bias, weight2=params.weight2)
+            cross_convolution(ctx, resp, 1, heads * 2, [2], [2])
 
     def test_response_wider_than_the_head_rejected(self):
-        ps = ParameterSet()
-        params = ccn_params(ps, 2, 2, weight=np.zeros(4))
+        heads = ccn_head(ParameterSet(), 2, 2, weight=np.zeros(4))
         with pytest.raises(ShapeError):
-            cross_convolution(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 3))), params)
+            cross_convolution(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 3))), 2, heads, [3], [3])
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("batched", [True, False])
@@ -583,12 +561,13 @@ class TestCrossConvolution:
         results = []
         for ctx_cols, resp_cols in ((4, 3), (length, length)):
             ps = ParameterSet()
-            params = ccn_params(ps, k, length, weight=weight, bias=0.3)
+            heads = ccn_head(ps, k, length, weight=weight, bias=0.3)
             c = ps.add("ctx", ctx[..., :ctx_cols].copy())
             r = ps.add("resp", resp[..., :resp_cols].copy())
-            score = cross_convolution(c, r, params, context_length=ctx_len, response_length=resp_len)
+            score = cross_convolution(c, r, k, heads, ctx_len, resp_len)
             backward(nm.tsum(nm.sigmoid(score)))
-            results.append((score.data, c.grad, r.grad, params.weight.grad, params.bias.grad))
+            (w, b), = heads
+            results.append((score.data, c.grad, r.grad, w.grad, b.grad))
         (s_t, dc_t, dr_t, dw_t, db_t), (s_p, dc_p, dr_p, dw_p, db_p) = results
         np.testing.assert_array_equal(s_t, s_p)
         np.testing.assert_array_equal(dw_t, dw_p)  # d weight = pooled values: the same, tail included
@@ -601,20 +580,19 @@ class TestCrossConvolution:
     def test_full_gradient_small_shapes(self):
         rng = np.random.default_rng(14)
         ps = ParameterSet()
-        params = CcnParams(
-            k=2,
-            weight=ps.add("w", rng.normal(size=8)),
-            bias=ps.add("b", rng.normal(size=1)),
-        )
+        heads = [(ps.add("w", rng.normal(size=8)), ps.add("b", rng.normal(size=1)))]
         ctx = ps.add("ctx", rng.normal(size=(2, 3, 5)))
         resp = ps.add("resp", rng.normal(size=(2, 3, 4)))
         lengths = np.array([5, 3])
 
         def loss():
-            return nm.tsum(nm.sigmoid(cross_convolution(ctx, resp, params, context_length=lengths)))
+            return nm.tsum(nm.sigmoid(cross_convolution(ctx, resp, 2, heads, lengths, [4, 4])))
 
         report = finite_diff_check(loss, ps, max_coords_per_param=20)
         assert report.passed, report
+        heads.append((ps.add("w2", rng.normal(size=8)), ps.add("b2", rng.normal(size=1))))  # parallel
+        report = finite_diff_check(loss, ps, max_coords_per_param=20)
+        assert report.passed and "w2" in report.errors_by_parameter, report
 
 
 class TestBatchesOnly:
@@ -624,13 +602,13 @@ class TestBatchesOnly:
         rng = np.random.default_rng(16)
         lstm, ps = make_lstm(3, 2, rng)
         with pytest.raises(ShapeError):
-            lstm_encode(Tensor(np.zeros((3, 4))), np.array([4]), lstm)
+            lstm_encode(Tensor(np.zeros((3, 4))), np.array([4]), *lstm)
         with pytest.raises(ShapeError):
             bilinear_score(Tensor(np.zeros(2)), Tensor(np.zeros(2)), ps.add("m", np.eye(2)))
         with pytest.raises(ShapeError):
             dense_score(Tensor(np.zeros(2)), ps.add("d", np.zeros(2)))
         with pytest.raises(ShapeError):
-            cross_convolution(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))), ccn_params(ps, 1, 2))
+            cross_convolution(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))), 1, ccn_head(ps, 1, 2), [3], [2])
 
 
 class TestPretrainedVectors:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -110,13 +111,6 @@ class TestDualForward:
         r = lstm_forward_oracle(high_ids(resp_tokens, vocab, 5, 3, "response"), w_in, w_rec, bias, table, 2)
         expected = sigmoid(c @ m @ r)
         assert got == pytest.approx(expected, abs=1e-10)
-
-    def test_tied_encoder_is_the_same_object(self):
-        vocab = tiny_vocab()
-        model, _ = build_model(tiny_config("dual_lstm"), vocab)
-        assert model.lstm("encoder").w_in is model.lstm("encoder").w_in
-        # one parameter tensor serves both context and response encodes
-        assert model.params["encoder.w_in"] is model.lstm("encoder").w_in
 
     def test_forward_deterministic_bitwise(self):
         vocab = tiny_vocab()
@@ -647,8 +641,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         blob = bytearray(path.read_bytes())
         # bump format_version inside the JSON header
-        idx = blob.find(b'"format_version":1')
-        blob[idx : idx + len(b'"format_version":1')] = b'"format_version":9'
+        idx = blob.find(b'"format_version":2')
+        blob[idx : idx + len(b'"format_version":2')] = b'"format_version":9'
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
@@ -674,13 +668,17 @@ class TestCheckpoint:
             load_checkpoint(path, vocab=other_vocab)
 
     @staticmethod
-    def rewrite_header(path, edit):
+    def rewrite_header(path, edit, checksum=True):
+        """Apply ``edit`` to a saved file's header and write a fresh checksum
+        after the payload (none with ``checksum=False``, as version 1 had), so
+        a test reaches the header checks rather than the checksum's."""
         blob = path.read_bytes()
         (length,) = struct.unpack_from("<I", blob, 8)
         header = json.loads(blob[12 : 12 + length])
         edit(header)
-        new = json.dumps(header).encode("utf-8")
-        path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length :])
+        new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        body = blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length : -32]
+        path.write_bytes(body + (hashlib.sha256(body).digest() if checksum else b""))
 
     @pytest.mark.parametrize(
         "edit",
@@ -711,17 +709,41 @@ class TestCheckpoint:
         model, vocab = self.build()
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
-        self.rewrite_header(path, lambda h: [e.update(trainable=True) for e in h["manifest"]])
+        self.rewrite_header(path, lambda h: h.update(
+            format_version=1, manifest=[{**e, "trainable": True} for e in h["manifest"]]), checksum=False)
         loaded = load_checkpoint(path, vocab=vocab)
         for name in model.params.names():
             assert loaded.params[name].data.tobytes() == model.params[name].data.tobytes()
 
-    def test_pad_row_zero_after_load(self, tmp_path):
-        model, vocab = self.build("mfcw_lstm")
-        path = tmp_path / "m.ckpt"
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_version_1_files_load(self, tmp_path, arch):
+        # version 1: the same header with format_version 1, the payloads, no checksum
+        model, vocab = self.build(arch)
+        path, resaved = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
         save_checkpoint(model, path)
+        saved = path.read_bytes()
+        self.rewrite_header(path, lambda h: h.update(format_version=1), checksum=False)
+        assert len(path.read_bytes()) == len(saved) - 32
         loaded = load_checkpoint(path, vocab=vocab)
-        np.testing.assert_array_equal(loaded.params["embedding_low"].data[PAD_ID], 0.0)
+        for name in model.params.names():
+            assert loaded.params[name].data.tobytes() == model.params[name].data.tobytes()
+        save_checkpoint(loaded, resaved)  # saving writes version 2
+        assert resaved.read_bytes() == saved
+
+    def test_pad_row_zero_after_load(self, tmp_path):
+        vocab = tiny_vocab()
+        path = tmp_path / "m.ckpt"
+        for arch, head in TestParameterSpec.PINNED:
+            config = tiny_config(arch, ccn_head=head)
+            tables = [name for name, _ in parameter_spec(config, vocab.size) if name.startswith("embedding")]
+            model, _ = build_model(config, vocab)
+            for name in tables:
+                assert not model.params[name].data[PAD_ID].any(), (arch, name)
+                model.params[name].data[PAD_ID] = 1.0  # a file written with a nonzero padding row
+            save_checkpoint(model, path)
+            loaded = load_checkpoint(path, vocab=vocab)
+            for name in tables:
+                assert not loaded.params[name].data[PAD_ID].any(), (arch, name)
 
 
 def lstm_spec(prefix):
@@ -788,7 +810,26 @@ def ccn_checkpoint(tmp_path_factory):
 
 
 class TestCheckpointFuzz:
-    """Damaged checkpoints load or raise CheckpointError, never anything else."""
+    """Damaged checkpoints raise CheckpointError, never anything else."""
+
+    def test_every_single_byte_overwrite_rejected(self, ccn_checkpoint):
+        # two overwrites of every byte (lowest bit flipped, all bits flipped),
+        # and every other value of the format version's digit
+        blob, path = ccn_checkpoint
+        version_digit = blob.index(b'"format_version":2') + len(b'"format_version":')
+        overwrites = [(i, blob[i] ^ mask) for i in range(len(blob)) for mask in (0x01, 0xFF)]
+        overwrites += [(version_digit, value) for value in range(256) if value != blob[version_digit]]
+        loaded = []
+        for i, value in overwrites:
+            damaged = bytearray(blob)
+            damaged[i] = value
+            path.write_bytes(bytes(damaged))
+            try:
+                load_checkpoint(path)
+                loaded.append((i, value))
+            except CheckpointError:
+                pass
+        assert not loaded, f"{len(loaded)} overwrites loaded, e.g. (offset, value) {loaded[:5]}"
 
     @settings(max_examples=200, deadline=None)
     @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))

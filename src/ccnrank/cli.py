@@ -239,7 +239,8 @@ def cmd_train(args):
     )
     # bad --vocab or --embeddings files fail before any write
     vocabulary = vb.load_vocab(args.vocab) if args.vocab else None
-    pretrained = load_word_vectors(args.embeddings, dim=args.embedding_dim) if args.embeddings else None
+    pretrained = (load_word_vectors(args.embeddings, dim=args.embedding_dim, dtype=args.precision)
+                  if args.embeddings else None)
     write_manifest(
         args.out + ".manifest.json",
         "train",
@@ -292,7 +293,9 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model_paths = [p for p in args.models.split(",") if p]
-    vocabulary = vb.load_vocab(args.vocab)  # a bad file fails before the manifest is written
+    vocabulary = vb.load_vocab(args.vocab)  # a bad file or scale fails before the manifest is written
+    if args.cwf_scale is not None:
+        evaluation.check_scale(args.cwf_scale)
     inputs = model_paths + [args.vocab, args.eval] + ([args.tune_cwf] if args.tune_cwf else [])
     write_manifest(
         args.manifest,

@@ -70,10 +70,15 @@ class RecallReport:
         return "\n".join(lines) + "\n"
 
 
-def cwf_rescore(scored: ScoredCandidateSet, scale) -> np.ndarray:
-    """Adjusted scores: probability + scale * cwf (no renormalization)."""
+def check_scale(scale):
+    """Raise ContractError unless the cwf scale is finite and >= 0."""
     if not 0 <= scale < np.inf:  # NaN fails too
         raise ContractError(f"cwf scale must be finite and >= 0, got {scale}")
+
+
+def cwf_rescore(scored: ScoredCandidateSet, scale) -> np.ndarray:
+    """Adjusted scores: probability + scale * cwf (no renormalization)."""
+    check_scale(scale)
     return scored.probabilities + scale * scored.cwf
 
 

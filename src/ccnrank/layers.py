@@ -59,11 +59,12 @@ def init_lstm_arrays(input_dim, hidden_size, rng, limit=0.08):
 # -- pretrained vectors --------------------------------------------------------
 
 
-def load_word_vectors(path, dim=None) -> dict:
+def load_word_vectors(path, dim=None, dtype=np.float64) -> dict:
     """Read a text embedding file: one ``word v1 v2 ... vN`` line per word.
 
-    A wrong value count, a value that is not a number and a non-finite value
-    raise ContractError naming the file and line.
+    Vectors are returned as ``dtype``.  A wrong value count, a value that is
+    not a number, a non-finite value and a value beyond ``dtype``'s range
+    (e.g. 1e39 for float32) raise ContractError naming the file and line.
     """
     vectors = {}
     with open(path, encoding="utf-8") as f:
@@ -82,6 +83,10 @@ def load_word_vectors(path, dim=None) -> dict:
                 raise ContractError(f"{path}: line {lineno}: {err}") from None
             if not np.isfinite(vector).all():
                 raise ContractError(f"{path}: line {lineno}: non-finite value for {word!r}")
+            with np.errstate(over="ignore"):
+                vector = vector.astype(dtype)
+            if not np.isfinite(vector).all():
+                raise ContractError(f"{path}: line {lineno}: vector for {word!r} overflows {vector.dtype}")
             vectors[word] = vector
     return vectors
 

@@ -205,8 +205,9 @@ class TestTrain:
         vectors.write_text(f"{word} 1e39 0.25 0.25 0.25\n")
         rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--embeddings", str(vectors), "--precision", "float32"))
         assert rc == EXIT_USAGE
-        assert f"pretrained vector for {word!r} overflows the table's float32" in capsys.readouterr().err
-        assert not ckpt.exists()
+        assert f"{vectors}: line 1: vector for {word!r} overflows float32" in capsys.readouterr().err
+        # rejected before anything is written
+        assert sorted(p.name for p in run_in_tmpdir.iterdir()) == ["data", "vectors.txt"]
         rc, _ = train_tiny(run_in_tmpdir, data, extra=("--embeddings", str(vectors)))  # fits float64
         assert rc == EXIT_OK
 
@@ -403,6 +404,7 @@ class TestEvaluate:
                        "--eval", str(data / "eval.csv"), "--cwf-scale", scale])
         assert rc == EXIT_USAGE
         assert f"cwf scale must be finite and >= 0, got {float(scale)}" in capsys.readouterr().err
+        assert not (run_in_tmpdir / "run-manifest.json").exists()  # rejected before the manifest
 
     def test_damaged_checkpoint_is_usage_error(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)

@@ -636,6 +636,21 @@ class TestPretrainedVectors:
         with pytest.raises(ContractError):
             load_word_vectors(path, dim=2)
 
+    def test_value_beyond_dtype_names_word_and_dtype(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("alpha 1.0 2.0\nbeta 1e39 2.0\n")
+        assert load_word_vectors(path, dim=2)["beta"][0] == 1e39
+        with pytest.raises(ContractError, match=f"{re.escape(str(path))}: line 2: vector for 'beta' overflows float32"):
+            load_word_vectors(path, dim=2, dtype=np.float32)
+
+    def test_apply_rejects_vector_beyond_table_dtype(self):
+        class FakeVocab:
+            word_to_id = {"alpha": 1}
+
+        matrix = init_embedding_matrix(2, 2, np.random.default_rng(0)).astype(np.float32)
+        with pytest.raises(ContractError, match="pretrained vector for 'alpha' overflows the table's float32"):
+            apply_pretrained(matrix, FakeVocab(), {"alpha": np.array([1e39, 0.0])})
+
     @pytest.mark.parametrize("value,problem", [("abc", "'abc'"), ("nan", "non-finite"),
                                                ("-inf", "non-finite"), ("1e999", "non-finite")])
     def test_bad_value_names_file_and_line(self, tmp_path, value, problem):

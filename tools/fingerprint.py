@@ -1,11 +1,11 @@
 """Print one sha256 over the trained parameters and scores of 32 configurations.
 
 A change that is meant to leave every computed bit as it was prints the same
-digest as its parent.  Run it in both checkouts and compare the last line:
+digest as its parent.  Run it in both checkouts and compare the output:
 
-    python tools/fingerprint.py              # one digest over everything
-    python tools/fingerprint.py --verbose    # also one digest per configuration
+    python tools/fingerprint.py
 
+It prints one line per configuration and, last, one digest over them all.
 It imports ``ccnrank`` from the checkout's ``src`` directory, so each
 checkout measures its own code.  Configurations: ``dual_lstm``,
 ``mfcw_lstm``, ``ccn_lstm`` and ``ccn_lstm`` with the parallel head, each at
@@ -20,7 +20,6 @@ and 10.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import sys
@@ -52,18 +51,14 @@ def fingerprint(arch, head, k, max_len, precision, data):
     return digest.hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--verbose", action="store_true", help="print each configuration's digest")
-    args = parser.parse_args(argv)
+def main():
     data = corpus.generate_splits(11, 240, 20, 10, corpus.SyntheticConfig(context_turns=8))
     total = hashlib.sha256()
     for (arch, head), k, max_len, precision in itertools.product(
             VARIANTS, (1, 2), (40, 160), ("float64", "float32")):
         digest = fingerprint(arch, head, k, max_len, precision, data)
         total.update(digest.encode())
-        if args.verbose:
-            print(f"{arch}\t{head}\tk={k}\tmax_len={max_len}\t{precision}\t{digest}")
+        print(f"{arch}\t{head}\tk={k}\tmax_len={max_len}\t{precision}\t{digest}")
     print(total.hexdigest())
 
 

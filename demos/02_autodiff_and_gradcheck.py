@@ -8,7 +8,7 @@ from ccnrank.numerics import ParameterSet, RmsProp, Tensor, backward, finite_dif
 
 # a scalar chain: d/dw sigmoid(w * w) at w = 1.2
 w = Tensor(1.2, requires_grad=True)
-out = nm.mul(w, w).sigmoid()
+out = nm.sigmoid(nm.mul(w, w))
 backward(nm.tsum(out))
 s = 1.0 / (1.0 + np.exp(-1.44))
 print(f"d sigmoid(w^2)/dw at 1.2: taped {float(w.grad):.10f}, closed form {2.4 * s * (1 - s):.10f}\n")

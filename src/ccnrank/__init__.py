@@ -17,7 +17,6 @@ from .corpus import (
     SyntheticConfig,
     TrainInstance,
     generate_splits,
-    generate_synthetic,
     load_eval,
     load_train,
     tokenize,

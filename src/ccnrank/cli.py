@@ -10,7 +10,10 @@ Conventions:
     ``name<TAB>value`` lines) to standard output;
   * exit codes: 0 success, 1 IO failure, 2 usage/config error, 3 numerical
     failure, 4 verification failure;
-  * all randomness flows from --seed.
+  * all randomness flows from --seed;
+  * each option is declared once, in the parser, with its real default;
+    the ``key = value`` lines of a ``--config`` file (gen-synthetic, train)
+    go through the same parser, under the explicit flags.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ EXIT_NUMERIC = 3
 EXIT_VERIFICATION = 4
 
 _CONFIG_ERRORS = (
+    argparse.ArgumentError,
     corpus.ParseError,
     corpus.ConfigError,
     ContractError,
@@ -76,49 +80,10 @@ def write_manifest(path, command, configuration, inputs, outputs, seed):
     return manifest
 
 
-def _merge_config_file(args, spec):
-    """Fill flag values from --config where the flag was not given explicitly.
-
-    ``spec`` maps config keys to (attribute, type); explicit flags win.
-    """
-    if not getattr(args, "config", None):
-        return
-    values = corpus.parse_config_file(args.config)
-    unknown = set(values) - set(spec)
-    if unknown:
-        raise corpus.ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
-    for key, (attr, cast) in spec.items():
-        if key in values and getattr(args, attr) is None:
-            try:
-                setattr(args, attr, cast(values[key]))
-            except ValueError:
-                raise corpus.ConfigError(f"{args.config}: bad {key} value {values[key]!r}") from None
-
-
-def _default(args, attr, value):
-    if getattr(args, attr) is None:
-        setattr(args, attr, value)
-
-
 # -- gen-synthetic -------------------------------------------------------------
 
 
 def cmd_gen_synthetic(args):
-    _merge_config_file(
-        args,
-        {
-            "topics": ("topics", int),
-            "keywords_per_topic": ("keywords_per_topic", int),
-            "filler_vocab_size": ("filler_vocab_size", int),
-            "context_turns": ("context_turns", int),
-            "seed": ("seed", int),
-        },
-    )
-    _default(args, "seed", 0)
-    _default(args, "topics", corpus.SyntheticConfig.topics)
-    _default(args, "keywords_per_topic", corpus.SyntheticConfig.keywords_per_topic)
-    _default(args, "filler_vocab_size", corpus.SyntheticConfig.filler_vocab_size)
-    _default(args, "context_turns", corpus.SyntheticConfig.context_turns)
     if args.val is None:
         args.val = args.eval
     config = corpus.SyntheticConfig(
@@ -136,10 +101,7 @@ def cmd_gen_synthetic(args):
             "n_train": args.train,
             "n_eval": args.eval,
             "n_validation": args.val,
-            "topics": args.topics,
-            "keywords_per_topic": args.keywords_per_topic,
-            "filler_vocab_size": args.filler_vocab_size,
-            "context_turns": args.context_turns,
+            **asdict(config),
         },
         inputs=[],
         outputs=list(paths.values()),
@@ -180,35 +142,6 @@ def cmd_prepare_vocab(args):
 
 
 def cmd_train(args):
-    _merge_config_file(
-        args,
-        {
-            "epochs": ("epochs", int),
-            "batch_size": ("batch_size", int),
-            "learning_rate": ("learning_rate", float),
-            "hidden_size": ("hidden_size", int),
-            "embedding_dim": ("embedding_dim", int),
-            "max_len": ("max_len", int),
-            "k": ("k", int),
-            "threshold": ("threshold", int),
-            "patience": ("patience", int),
-            "seed": ("seed", int),
-        },
-    )
-    for attr, value in (
-        ("seed", models.ModelConfig.seed),
-        ("epochs", training.TrainConfig.max_epochs),
-        ("batch_size", training.TrainConfig.batch_size),
-        ("learning_rate", training.TrainConfig.learning_rate),
-        ("hidden_size", models.ModelConfig.hidden_size),
-        ("embedding_dim", models.ModelConfig.embedding_dim),
-        ("max_len", models.ModelConfig.max_len),
-        ("k", models.ModelConfig.k),
-        ("threshold", models.ModelConfig.frequency_threshold),
-        ("patience", training.TrainConfig.patience),
-    ):
-        _default(args, attr, value)
-
     inputs = [args.train, args.val]
     if args.vocab:
         inputs.append(args.vocab)
@@ -337,7 +270,7 @@ def cmd_gradcheck(args):
         outputs=[],
         seed=args.seed,
     )
-    train_set, _ = corpus.generate_synthetic(args.seed, 40, 1)
+    train_set, _, _ = corpus.generate_splits(args.seed, 40, 1, 0)
     vocabulary = vb.build_vocab(train_set)
     config = models.ModelConfig(
         architecture=args.arch,
@@ -363,7 +296,6 @@ def cmd_gradcheck(args):
         tolerance=args.tolerance,
         max_coords_per_param=16,
         seed=args.seed,
-        corrupt_scale=args.corrupt_gradient,
     )
     _emit("max_relative_error", f"{report.max_relative_error:.3e}")
     _emit("worst_parameter", report.worst_parameter)
@@ -376,23 +308,28 @@ def cmd_gradcheck(args):
 
 
 def build_parser():
+    """The ccnrank parser; each flag's default is its real default, read from
+    the config dataclass field that the flag sets."""
     parser = argparse.ArgumentParser(
         prog="ccnrank",
         description="Train and evaluate next-response ranking models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    synthetic, model_config, train_config = corpus.SyntheticConfig, models.ModelConfig, training.TrainConfig
+    config_help = ("file of 'key = value' lines; a key is any flag of the command, with underscores; "
+                   "explicit flags win")
 
     gen = sub.add_parser("gen-synthetic", help="write a deterministic synthetic corpus")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--train", type=int, required=True, help="number of train instances")
     gen.add_argument("--eval", type=int, required=True, help="number of eval instances")
-    gen.add_argument("--val", type=int, default=None, help="validation instances (default: --eval)")
+    gen.add_argument("--val", type=int, help="validation instances (default: --eval)")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--topics", type=int, default=None)
-    gen.add_argument("--keywords-per-topic", type=int, default=None, dest="keywords_per_topic")
-    gen.add_argument("--filler-vocab-size", type=int, default=None, dest="filler_vocab_size")
-    gen.add_argument("--context-turns", type=int, default=None, dest="context_turns")
-    gen.add_argument("--config", default=None, help="key=value file merged under explicit flags")
+    gen.add_argument("--topics", type=int, default=synthetic.topics)
+    gen.add_argument("--keywords-per-topic", type=int, default=synthetic.keywords_per_topic)
+    gen.add_argument("--filler-vocab-size", type=int, default=synthetic.filler_vocab_size)
+    gen.add_argument("--context-turns", type=int, default=synthetic.context_turns)
+    gen.add_argument("--config", help=config_help)
     gen.set_defaults(handler=cmd_gen_synthetic)
 
     prep = sub.add_parser("prepare-vocab", help="count words of a train CSV into a vocabulary file")
@@ -405,26 +342,28 @@ def build_parser():
     tr.add_argument("--train", required=True)
     tr.add_argument("--val", required=True, help="eval-format validation CSV")
     tr.add_argument("--out", required=True, help="checkpoint path")
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--vocab", default=None, help="existing vocabulary file (default: build from train)")
-    tr.add_argument("--embeddings", default=None, help="pretrained word vector file for the high-frequency table")
-    tr.add_argument("--epochs", type=int, default=None)
-    tr.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    tr.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    tr.add_argument("--hidden-size", type=int, default=None, dest="hidden_size")
-    tr.add_argument("--embedding-dim", type=int, default=None, dest="embedding_dim")
-    tr.add_argument("--max-len", type=int, default=None, dest="max_len")
-    tr.add_argument("--k", type=int, default=None)
-    tr.add_argument("--threshold", type=int, default=None, help="high/low frequency boundary")
-    tr.add_argument("--patience", type=int, default=None)
-    tr.add_argument("--precision", default=models.ModelConfig.precision, choices=("float64", "float32"))
+    tr.add_argument("--seed", type=int, default=model_config.seed)
+    tr.add_argument("--vocab", help="existing vocabulary file (default: build from train)")
+    tr.add_argument("--embeddings", help="pretrained word vector file for the high-frequency table")
+    tr.add_argument("--epochs", type=int, default=train_config.max_epochs)
+    tr.add_argument("--batch-size", type=int, default=train_config.batch_size)
+    tr.add_argument("--learning-rate", type=float, default=train_config.learning_rate)
+    tr.add_argument("--hidden-size", type=int, default=model_config.hidden_size)
+    tr.add_argument("--embedding-dim", type=int, default=model_config.embedding_dim)
+    tr.add_argument("--max-len", type=int, default=model_config.max_len)
+    tr.add_argument("--k", type=int, default=model_config.k)
     tr.add_argument(
-        "--ccn-head", default=models.ModelConfig.ccn_head, choices=models.CCN_HEADS, dest="ccn_head",
+        "--threshold", type=int, default=model_config.frequency_threshold, help="high/low frequency boundary"
+    )
+    tr.add_argument("--patience", type=int, default=train_config.patience)
+    tr.add_argument("--precision", default=model_config.precision, choices=("float64", "float32"))
+    tr.add_argument(
+        "--ccn-head", default=model_config.ccn_head, choices=models.CCN_HEADS,
         help="ccn_lstm cross-convolution branch: sigmoid (one dense head, raw score) or parallel "
         "(two dense heads, sigmoid(first) + second); the final sigmoid applies in both",
     )
-    tr.add_argument("--clip-norm", type=float, default=None, dest="clip_norm")
-    tr.add_argument("--config", default=None)
+    tr.add_argument("--clip-norm", type=float, help="global gradient-norm bound (default: no clipping)")
+    tr.add_argument("--config", help=config_help)
     tr.set_defaults(handler=cmd_train)
 
     ev = sub.add_parser("evaluate", help="rank an eval CSV with one model or an ensemble")
@@ -432,8 +371,8 @@ def build_parser():
     ev.add_argument("--vocab", required=True)
     ev.add_argument("--eval", required=True)
     cwf = ev.add_mutually_exclusive_group()
-    cwf.add_argument("--cwf-scale", type=float, default=None, dest="cwf_scale", help="CWF scale (default 0)")
-    cwf.add_argument("--tune-cwf", default=None, dest="tune_cwf", help="validation CSV for scale tuning")
+    cwf.add_argument("--cwf-scale", type=float, help="CWF scale (default 0)")
+    cwf.add_argument("--tune-cwf", help="validation CSV for scale tuning")
     ev.add_argument("--manifest", default="run-manifest.json")
     ev.set_defaults(handler=cmd_evaluate)
 
@@ -443,25 +382,41 @@ def build_parser():
     gc.add_argument("--tolerance", type=float, default=1e-4)
     gc.add_argument("--h", type=float, default=1e-4, dest="step")
     gc.add_argument("--manifest", default="run-manifest.json")
-    gc.add_argument(
-        "--corrupt-gradient",
-        type=float,
-        default=1.0,
-        dest="corrupt_gradient",
-        help=argparse.SUPPRESS,  # checker self-test hook
-    )
     gc.set_defaults(handler=cmd_gradcheck)
+    for command_parser in (parser, *sub.choices.values()):
+        command_parser.exit_on_error = False  # a bad value raises ArgumentError, which main maps to exit 2
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv):
+    """Parse a command line; a --config file's lines go through the same parser.
+
+    Each ``key = value`` line becomes ``--key-with-dashes=value`` in front of
+    the explicit arguments (``argv[0]`` is the command), so explicit flags
+    win and every value passes its flag's own type and choices.
+    """
     parser = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    values = corpus.parse_config_file(args.config)
+    unknown = set(values) - (set(vars(args)) - {"command", "handler", "config"})  # each dest is its flag name
+    if unknown:
+        raise corpus.ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+        return parser.parse_args([argv[0], *flags, *argv[1:]])
+    except argparse.ArgumentError as err:  # only a config value can fail here
+        key = err.argument_name.lstrip("-").replace("-", "_")
+        raise corpus.ConfigError(f"{args.config}: bad {key} value: {err.message}") from None
+
+
+def main(argv=None) -> int:
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.handler(args)
+    except SystemExit as exc:  # argparse: --help, or a missing or unrecognized argument
+        return EXIT_USAGE if exc.code else EXIT_OK
     except _CONFIG_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

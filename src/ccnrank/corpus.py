@@ -347,18 +347,10 @@ def _generate(seed, n_train, n_eval, n_val, config):
     return train, evals, vals
 
 
-def generate_synthetic(seed, n_train, n_eval, config=SyntheticConfig()):
-    """Deterministic synthetic (train, eval) sets for desk-scale experiments."""
-    train, evals, _ = _generate(seed, n_train, n_eval, 0, config)
-    return train, evals
-
-
 def generate_splits(seed, n_train, n_eval, n_val, config=SyntheticConfig()):
-    """Like generate_synthetic but also draws a validation split (eval format).
-
-    The train/eval prefixes are identical to ``generate_synthetic`` with the
-    same seed; validation instances are drawn last from the same stream.
-    """
+    """Deterministic synthetic (train, eval, validation) sets; validation is
+    in eval format and drawn last from the same stream, so the train and eval
+    sets do not depend on ``n_val``."""
     return _generate(seed, n_train, n_eval, n_val, config)
 
 

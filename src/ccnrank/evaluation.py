@@ -24,14 +24,12 @@ DEFAULT_SCALE_GRID = tuple(
 )
 
 
-def rank_candidates(scores, correct_index=0) -> int:
-    """1-based rank of the correct candidate, ties counting against it."""
+def rank_candidates(scores) -> int:
+    """1-based rank of the correct candidate (the first), ties counting against it."""
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ContractError("rank_candidates requires finite scores")
-    correct = scores[correct_index]
-    others = np.delete(scores, correct_index)
-    return int(1 + (others >= correct).sum())
+    return int(1 + (scores[1:] >= scores[0]).sum())
 
 
 def recall_at_k(ranks, k) -> float:
@@ -48,7 +46,6 @@ class ScoredCandidateSet:
 
     probabilities: np.ndarray
     cwf: np.ndarray
-    correct_index: int = 0
 
     def __post_init__(self):
         self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
@@ -117,7 +114,7 @@ def score_instances(models, instances):
 
 
 def ranks_at_scale(scored_sets, scale):
-    return [rank_candidates(cwf_rescore(s, scale), s.correct_index) for s in scored_sets]
+    return [rank_candidates(cwf_rescore(s, scale)) for s in scored_sets]
 
 
 def report_from_scored(scored_sets, scale) -> RecallReport:

@@ -291,7 +291,7 @@ def dense_score(h: Tensor, weight: Tensor) -> Tensor:
     dim = weight.shape[0]
     if h.ndim != 2 or h.shape[1] != dim:
         raise ShapeError(f"dense_score: input {h.shape} vs weight {weight.shape}")
-    return nm.matmul(h, weight.reshape(dim, 1)).reshape(h.shape[0])
+    return nm.reshape(nm.matmul(h, nm.reshape(weight, (dim, 1))), (h.shape[0],))
 
 
 def kmax_pool(scores: Tensor, k, col_valid, row_valid, out_rows) -> Tensor:
@@ -365,7 +365,7 @@ def cross_convolution(context_emb: Tensor, response_emb: Tensor, k, heads, conte
     if kl % k or resp_cols > kl // k:
         raise ShapeError(f"dense weight has {kl} entries, needs k*L with k={k} and L >= {resp_cols}")
 
-    grid = nm.matmul(response_emb.transpose_last(), context_emb)  # [B x Lr x Lc]
+    grid = nm.matmul(nm.transpose_last(response_emb), context_emb)  # [B x Lr x Lc]
     pooled = kmax_pool(grid, k, context_length, response_length, kl // k)  # [B, kL]
     scores = [nm.add(dense_score(pooled, weight), bias) for weight, bias in heads]
-    return scores[0] if len(scores) == 1 else nm.add(scores[0].sigmoid(), scores[1])
+    return scores[0] if len(scores) == 1 else nm.add(nm.sigmoid(scores[0]), scores[1])

@@ -365,7 +365,7 @@ def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Te
                 score = cross_convolution(embed_lookup(ctx_ids[context_of], emb), embed_lookup(resp_ids, emb),
                                           model.config.k, heads, ctx_len[context_of], resp_len)
         if len(branches) > 1:  # weighted sum of the raw branch scores
-            score = nm.mul(p["branch_weights"].narrow(0, i, 1), score)
+            score = nm.mul(nm.narrow(p["branch_weights"], 0, i, 1), score)
         total = score if total is None else nm.add(total, score)
     return nm.sigmoid(total)
 

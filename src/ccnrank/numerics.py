@@ -95,46 +95,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
-
-    def mean(self):
-        return mean(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose_last(self):
-        return transpose_last(self)
-
-    def narrow(self, axis, start, length):
-        return narrow(self, axis, start, length)
-
-    def backward(self):
-        backward(self)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -510,24 +470,19 @@ def finite_diff_check(
     tolerance=1e-4,
     max_coords_per_param=32,
     seed=0,
-    corrupt_scale=1.0,
 ) -> GradCheckReport:
     """Compare taped gradients of ``loss_fn()`` against central differences.
 
     Samples up to ``max_coords_per_param`` coordinates per parameter (all of
     them when the parameter is small).  Relative error is
-    |a - n| / max(|a|, |n|, 1e-8).  ``corrupt_scale`` multiplies the analytic
-    gradient and exists only so the checker itself can be sanity-tested.
+    |a - n| / max(|a|, |n|, 1e-8).
     """
     if h <= 0:
         raise ContractError("finite_diff_check requires h > 0")
     params.zero_gradients()
     out = loss_fn()
     backward(out)
-    analytic = {}
-    for name, t in params.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        analytic[name] = g * corrupt_scale
+    analytic = {name: np.zeros_like(t.data) if t.grad is None else t.grad for name, t in params.items()}
     params.zero_gradients()
 
     rng = np.random.default_rng(seed)

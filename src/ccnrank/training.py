@@ -67,12 +67,10 @@ class EpochReport:
     seconds: float
 
 
-def loss(p, y):
-    """Squared error (p - y)^2 for one prediction; tape-aware when p is a Tensor."""
-    if isinstance(p, Tensor):
-        d = nm.sub(p, Tensor(np.asarray(y, dtype=p.dtype)))
-        return nm.mul(d, d)
-    return (p - y) ** 2
+def loss(p: Tensor, y) -> Tensor:
+    """Elementwise squared error (p - y)^2 of predictions against labels."""
+    d = nm.sub(p, Tensor(np.asarray(y, dtype=p.dtype)))
+    return nm.mul(d, d)
 
 
 def batch_loss(probabilities: Tensor, labels) -> Tensor:

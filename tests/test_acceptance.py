@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ccnrank import numerics as nm
-from ccnrank.corpus import generate_splits, generate_synthetic, topic_keywords
+from ccnrank.corpus import generate_splits, topic_keywords
 from ccnrank.evaluation import (
     ScoredCandidateSet,
     cwf_rescore,
@@ -183,7 +183,7 @@ class TestCriterion2OracleEquivalence:
 
 class TestCriterion3RandomBaseline:
     def test_uniform_scoring_recall_bands(self):
-        _, eval_set = generate_synthetic(SEED + 1, 2, 10_000)
+        _, eval_set, _ = generate_splits(SEED + 1, 2, 10_000, 0)
         assert len(eval_set) == 10_000
         rng = np.random.default_rng(SEED)
         ranks = [rank_candidates(rng.random(len(inst.candidates))) for inst in eval_set]
@@ -291,7 +291,7 @@ class TestCriterion6DeterminismPersistence:
         save_checkpoint(loaded, resaved)
         round_trip_exact = resaved.read_bytes() == ckpt_a.read_bytes()
 
-        _, eval_set = generate_synthetic(12, 40, 30)
+        _, eval_set, _ = generate_splits(12, 40, 30, 0)
         pairs = [(inst.context, cand) for inst in eval_set for cand in inst.candidates]
         in_memory = model_a.score_pairs(pairs)
         from_disk = loaded.score_pairs(pairs)
@@ -365,7 +365,7 @@ class TestCriterion7InvariantSuites:
         results["tie_pessimism"] = bool(ok)
 
         # frequency split partitions the real-word ids at every threshold
-        train_set, _ = generate_synthetic(SEED + 2, 200, 2)
+        train_set, _, _ = generate_splits(SEED + 2, 200, 2, 0)
         vocabulary = build_vocab(train_set)
         ok = True
         for threshold in (0, 1, 5, 9, 50):

@@ -1,15 +1,20 @@
+import argparse
 import json
+import re
+import shlex
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from ccnrank import models, training
+from ccnrank import cli, models, training
 from ccnrank.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from ccnrank.corpus import load_eval, load_train
 from ccnrank.models import ARCHITECTURES, ModelConfig, load_checkpoint, save_checkpoint
+from ccnrank.numerics import GradCheckReport
 from ccnrank.training import EpochReport, TrainConfig
 from ccnrank.vocab import build_vocab
 
@@ -279,6 +284,115 @@ class TestTrain:
         assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
 
 
+def option_names(command):
+    """Every ``--flag`` of a command, written as a config key."""
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [opt[2:].replace("-", "_") for action in commands.choices[command]._actions
+            for opt in action.option_strings if opt.startswith("--") and opt != "--help"]
+
+
+# a non-default value for every option of the commands that take --config
+CONFIG_VALUES = {
+    "gen-synthetic": {"seed": 3, "train": 20, "eval": 4, "val": 2, "out": "o", "topics": 3,
+                      "keywords_per_topic": 5, "filler_vocab_size": 12, "context_turns": 3},
+    "train": {"arch": "ccn_lstm", "train": "t.csv", "val": "v.csv", "out": "m.ckpt", "seed": 3,
+              "vocab": "v.txt", "embeddings": "e.txt", "epochs": 2, "batch_size": 8, "learning_rate": 0.01,
+              "hidden_size": 5, "embedding_dim": 6, "max_len": 7, "k": 2, "threshold": 4, "patience": 3,
+              "precision": "float32", "ccn_head": "parallel", "clip_norm": 1.5},
+}
+REQUIRED_FLAGS = {
+    "gen-synthetic": {"train": 10, "eval": 2, "out": "x"},
+    "train": {"arch": "dual_lstm", "train": "x.csv", "val": "y.csv", "out": "x.ckpt"},
+}
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command,key", [(c, k) for c in CONFIG_VALUES for k in option_names(c) if k != "config"]
+    )
+    def test_every_option_is_a_config_key(self, run_in_tmpdir, command, key):
+        cfg = run_in_tmpdir / "f.cfg"
+        cfg.write_text(f"{key} = {CONFIG_VALUES[command][key]}\n")
+        required = REQUIRED_FLAGS[command]
+        args = cli.parse_args([command, "--config", str(cfg), *(f"--{k}={v}" for k, v in required.items())])
+        # the file sets the key unless the command line gives it too
+        assert getattr(args, key) == required.get(key, CONFIG_VALUES[command][key])
+
+    def test_precision_float32_writes_a_float32_checkpoint(self, run_in_tmpdir):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text("precision = float32\n")
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--config", str(cfg)))
+        assert rc == EXIT_OK
+        model = load_checkpoint(ckpt)
+        assert model.config.precision == "float32"
+        assert {t.data.dtype for _, t in model.params.items()} == {np.dtype(np.float32)}
+
+    def test_clip_norm_and_ccn_head_reach_the_configs(self, run_in_tmpdir, monkeypatch):
+        seen = {}
+
+        def no_training(model, train_set, config):
+            seen["model"], seen["train"] = model.config, config
+            return model, [EpochReport(epoch=1, train_loss=0.0, val_accuracy=0.5, val_recall1=0.5, seconds=0.0)]
+
+        monkeypatch.setattr(training, "train", no_training)
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text("clip_norm = 1.5\nccn_head = parallel\n")
+        rc, _ = train_tiny(run_in_tmpdir, data, arch="ccn_lstm", extra=("--config", str(cfg)))
+        assert rc == EXIT_OK
+        assert seen["train"].clip_norm == 1.5
+        assert seen["model"].ccn_head == "parallel"
+
+    def test_explicit_flag_beats_the_file(self, run_in_tmpdir):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text("epochs = 3\nhidden_size = 5\n")
+        rc, _ = train_tiny(run_in_tmpdir, data, extra=("--config", str(cfg)))  # gives --epochs 1
+        assert rc == EXIT_OK
+        manifest = json.loads((run_in_tmpdir / "model.ckpt.manifest.json").read_text())
+        assert manifest["configuration"]["epochs"] == 1
+        assert manifest["configuration"]["model"]["hidden_size"] == 4  # train_tiny's --hidden-size 4
+
+    def test_value_outside_the_choices_is_usage_error(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text("precision = float16\n")
+        before = set(run_in_tmpdir.iterdir())
+        rc, _ = train_tiny(run_in_tmpdir, data, extra=("--config", str(cfg)))
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "precision" in err and "float16" in err
+        assert set(run_in_tmpdir.iterdir()) == before
+
+    def test_unknown_key_is_usage_error(self, run_in_tmpdir, capsys):
+        cfg = run_in_tmpdir / "syn.cfg"
+        cfg.write_text("topics = 3\nbatch_size = 8\n")  # a train flag, not a gen-synthetic one
+        rc = main(["gen-synthetic", "--train", "10", "--eval", "2", "--out", "x", "--config", str(cfg)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "batch_size" in err
+        assert not (run_in_tmpdir / "x").exists()
+
+
+def readme_commands():
+    """Each ``ccnrank ...`` command in README.md's code blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", readme, flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [" ".join(line.split()) for line in lines if line.strip().startswith("ccnrank ")]
+
+
+class TestReadme:
+    def test_readme_shows_every_command(self):
+        shown = {shlex.split(c)[1] for c in readme_commands()}
+        assert shown == {"gen-synthetic", "prepare-vocab", "train", "evaluate", "gradcheck"}
+
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_command_parses(self, command):
+        cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])
+
+
 class TestEvaluate:
     def make_model(self, tmp_path, arch="dual_lstm", out="m.ckpt"):
         data = gen(tmp_path)
@@ -444,9 +558,13 @@ class TestGradcheck:
         assert "max_relative_error\t" in out
         assert "passed\t1" in out
 
-    def test_corrupted_gradient_fails_with_exit_4(self, run_in_tmpdir):
-        rc = main(["gradcheck", "--arch", "dual_lstm", "--corrupt-gradient", "2.0"])
+    def test_corrupted_gradient_fails_with_exit_4(self, run_in_tmpdir, monkeypatch, capsys):
+        failing = GradCheckReport(max_relative_error=0.5, worst_parameter="bilinear", tolerance=1e-4,
+                                  passed=False)
+        monkeypatch.setattr(cli, "finite_diff_check", lambda *args, **kwargs: failing)
+        rc = main(["gradcheck", "--arch", "dual_lstm"])
         assert rc == EXIT_VERIFICATION
+        assert "passed\t0" in capsys.readouterr().out
 
     def test_writes_manifest_first(self, run_in_tmpdir):
         main(["gradcheck", "--arch", "dual_lstm"])

@@ -10,7 +10,6 @@ from ccnrank.corpus import (
     SyntheticConfig,
     TrainInstance,
     generate_splits,
-    generate_synthetic,
     load_eval,
     load_train,
     parse_config_file,
@@ -149,7 +148,7 @@ class TestEvalFile:
         assert loaded[0].candidates[1] == ()
 
     def test_round_trip(self, tmp_path):
-        _, evals = generate_synthetic(3, 20, 5)
+        _, evals, _ = generate_splits(3, 20, 5, 0)
         path = tmp_path / "e.csv"
         write_eval(evals, path)
         assert load_eval(path) == evals
@@ -157,8 +156,8 @@ class TestEvalFile:
 
 class TestSynthetic:
     def test_same_seed_is_byte_identical(self, tmp_path):
-        a_train, a_eval = generate_synthetic(11, 200, 30)
-        b_train, b_eval = generate_synthetic(11, 200, 30)
+        a_train, a_eval, _ = generate_splits(11, 200, 30, 0)
+        b_train, b_eval, _ = generate_splits(11, 200, 30, 0)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_train(a_train, pa)
         write_train(b_train, pb)
@@ -166,23 +165,23 @@ class TestSynthetic:
         assert a_eval == b_eval
 
     def test_different_seed_differs(self):
-        a, _ = generate_synthetic(1, 50, 5)
-        b, _ = generate_synthetic(2, 50, 5)
+        a, _, _ = generate_splits(1, 50, 5, 0)
+        b, _, _ = generate_splits(2, 50, 5, 0)
         assert a != b
 
     def test_exact_count_and_balance(self):
-        train, _ = generate_synthetic(5, 1000, 5)
+        train, _, _ = generate_splits(5, 1000, 5, 0)
         assert len(train) == 1000
         positives = sum(inst.label for inst in train)
         assert positives == 500
 
     def test_odd_count(self):
-        train, _ = generate_synthetic(5, 7, 2)
+        train, _, _ = generate_splits(5, 7, 2, 0)
         assert len(train) == 7
         assert sum(inst.label for inst in train) == 4
 
     def test_positive_pairs_share_a_keyword(self):
-        train, evals = generate_synthetic(7, 400, 50)
+        train, evals, _ = generate_splits(7, 400, 50, 0)
         for inst in train:
             if inst.label == 1:
                 shared = topic_keywords(inst.context) & topic_keywords(inst.response)
@@ -192,7 +191,7 @@ class TestSynthetic:
             assert shared
 
     def test_distractors_do_not_share_context_keywords(self):
-        _, evals = generate_synthetic(7, 400, 50)
+        _, evals, _ = generate_splits(7, 400, 50, 0)
         for inst in evals:
             ctx_kw = topic_keywords(inst.context)
             for cand in inst.candidates[1:]:
@@ -200,7 +199,7 @@ class TestSynthetic:
 
     def test_keyword_frequencies_calibrated(self):
         # keywords at or below the band threshold, fillers above it
-        train, _ = generate_synthetic(9, 1000, 10)
+        train, _, _ = generate_splits(9, 1000, 10, 0)
         counts = {}
         for inst in train:
             for tok in list(inst.context) + list(inst.response):
@@ -213,7 +212,7 @@ class TestSynthetic:
         assert min(counts[w] for w in fillers) > 5
 
     def test_generate_splits_prefix_matches(self):
-        train_a, eval_a = generate_synthetic(13, 60, 8)
+        train_a, eval_a, _ = generate_splits(13, 60, 8, 0)
         train_b, eval_b, val_b = generate_splits(13, 60, 8, 4)
         assert train_a == train_b
         assert eval_a == eval_b
@@ -228,9 +227,9 @@ class TestSynthetic:
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ConfigError):
-            generate_synthetic(0, 0, 5)
+            generate_splits(0, 0, 5, 0)
         with pytest.raises(ConfigError):
-            generate_synthetic(0, 5, 0)
+            generate_splits(0, 5, 0, 0)
 
 
 class TestConfigFile:

@@ -44,11 +44,6 @@ class TestRankCandidates:
         with pytest.raises(ContractError):
             rank_candidates([np.nan] + [0.0] * 9)
 
-    def test_correct_index_other_than_zero(self):
-        scores = [0.1, 0.9, 0.5, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        assert rank_candidates(scores, correct_index=1) == 1
-        assert rank_candidates(scores, correct_index=2) == 2
-
 
 class TestRecallAtK:
     def test_fraction(self):

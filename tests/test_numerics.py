@@ -11,6 +11,7 @@ from ccnrank.numerics import (
     Tensor,
     add,
     backward,
+    custom_op,
     finite_diff_check,
     matmul,
     mean,
@@ -171,7 +172,12 @@ class TestFiniteDiffCheck:
     def test_corrupted_gradient_detected(self):
         ps = ParameterSet()
         w = ps.add("w", np.array([1.0]))
-        report = finite_diff_check(lambda: quadratic_loss(w), ps, corrupt_scale=2.0)
+
+        def square_with_doubled_backward():  # backward gives 4w where d(w^2)/dw is 2w
+            x = w.data.copy()
+            return tsum(custom_op(x * x, (w,), lambda g: (4.0 * g * x,)))
+
+        report = finite_diff_check(square_with_doubled_backward, ps)
         assert not report.passed
         assert report.max_relative_error == pytest.approx(0.5, abs=1e-5)
         assert report.worst_parameter == "w"

@@ -3,7 +3,7 @@ import pytest
 
 from ccnrank.corpus import generate_splits
 from ccnrank.models import ARCHITECTURES, ModelConfig, build_model, save_checkpoint
-from ccnrank.numerics import ContractError, ParameterSet, finite_diff_check
+from ccnrank.numerics import ContractError, ParameterSet, Tensor, backward, finite_diff_check
 from ccnrank.training import (
     TrainConfig,
     TrainingDiverged,
@@ -19,11 +19,11 @@ from ccnrank.vocab import build_vocab
 
 class TestLoss:
     def test_zero_when_correct(self):
-        assert loss(1.0, 1) == 0.0
-        assert loss(0.0, 0) == 0.0
+        assert loss(Tensor(1.0), 1).item() == 0.0
+        assert loss(Tensor(0.0), 0).item() == 0.0
 
     def test_half_probability(self):
-        assert loss(0.5, 1) == pytest.approx(0.25)
+        assert loss(Tensor(0.5), 1).item() == pytest.approx(0.25)
 
     def test_gradient_matches_finite_differences(self):
         ps = ParameterSet()
@@ -34,7 +34,7 @@ class TestLoss:
         # d mean((p-y)^2) / dp = 2 (p - y) / n
         ps.zero_gradients()
         out = batch_loss(p, y)
-        out.backward()
+        backward(out)
         np.testing.assert_allclose(p.grad, 2 * (p.data - y) / 2, atol=1e-12)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccnrank.corpus import TrainInstance, generate_synthetic, tokenize
+from ccnrank.corpus import TrainInstance, generate_splits, tokenize
 from ccnrank.numerics import ContractError
 from ccnrank.vocab import (
     HIGH,
@@ -47,7 +47,7 @@ class TestBuildVocab:
         assert v1.word_to_id["b"] == 2
 
     def test_counts_match_streaming_recount(self):
-        train, _ = generate_synthetic(21, 300, 5)
+        train, _, _ = generate_splits(21, 300, 5, 0)
         vocab = build_vocab(train)
         recount = Counter()
         for inst in train:
@@ -68,7 +68,7 @@ class TestBuildVocab:
 
 class TestVocabFile:
     def test_round_trip(self, tmp_path):
-        train, _ = generate_synthetic(4, 40, 5)
+        train, _, _ = generate_splits(4, 40, 5, 0)
         vocab = build_vocab(train)
         path = tmp_path / "vocab.txt"
         save_vocab(vocab, path)
@@ -327,7 +327,7 @@ class TestCwfScore:
         assert cwf_score(("x", "z"), ("x",), vocab) == cwf_score(("x",), ("x", "z"), vocab)
 
     def test_matches_reciprocal_oracle_on_synthetic_pairs(self):
-        train, _ = generate_synthetic(31, 400, 5)
+        train, _, _ = generate_splits(31, 400, 5, 0)
         vocab = build_vocab(train)
         checked = 0
         for inst in train:

@@ -4,8 +4,8 @@ Commands: gen-synthetic, prepare-vocab, train, evaluate (one checkpoint or
 an ensemble of several, optionally CWF-rescored), gradcheck.
 
 Conventions:
-  * every command writes a JSON run manifest (command, resolved
-    configuration, input hashes, seed, output paths) before doing work;
+  * every command writes a JSON run manifest (command, every resolved flag,
+    input hashes, seed, output paths) before doing work;
   * progress goes to standard error, machine-readable results (tab-separated
     ``name<TAB>value`` lines) to standard output;
   * exit codes: 0 success, 1 IO failure, 2 usage/config error, 3 numerical
@@ -13,7 +13,8 @@ Conventions:
   * all randomness flows from --seed;
   * each option is declared once, in the parser, with its real default;
     the ``key = value`` lines of a ``--config`` file (gen-synthetic, train)
-    go through the same parser, under the explicit flags.
+    go through the same parser, under the explicit flags, so a file can set
+    any flag, required ones included; flags and keys are spelled in full.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -37,6 +37,8 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFICATION = 4
+
+CONFIG_COMMANDS = ("gen-synthetic", "train")  # the commands that take --config
 
 _CONFIG_ERRORS = (
     argparse.ArgumentError,
@@ -65,14 +67,15 @@ def _file_hash(path):
     return digest.hexdigest()
 
 
-def write_manifest(path, command, configuration, inputs, outputs, seed):
-    """Record everything needed to reproduce the run, before work begins."""
+def write_manifest(path, args, inputs, outputs):
+    """Record everything needed to reproduce the run, before work begins: the
+    configuration is every resolved flag of the parsed command line."""
     manifest = {
-        "command": command,
-        "configuration": configuration,
+        "command": args.command,
+        "configuration": {k: v for k, v in vars(args).items() if k not in ("command", "handler")},
         "input_hashes": {str(p): _file_hash(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -86,6 +89,9 @@ def write_manifest(path, command, configuration, inputs, outputs, seed):
 def cmd_gen_synthetic(args):
     if args.val is None:
         args.val = args.eval
+    for flag, count, least in (("--train", args.train, 1), ("--eval", args.eval, 1), ("--val", args.val, 0)):
+        if count < least:  # before anything is written
+            raise corpus.ConfigError(f"{flag} must be >= {least}, got {count}")
     config = corpus.SyntheticConfig(
         topics=args.topics,
         keywords_per_topic=args.keywords_per_topic,
@@ -94,19 +100,7 @@ def cmd_gen_synthetic(args):
     )
     os.makedirs(args.out, exist_ok=True)
     paths = {name: os.path.join(args.out, f"{name}.csv") for name in ("train", "validation", "eval")}
-    write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        "gen-synthetic",
-        {
-            "n_train": args.train,
-            "n_eval": args.eval,
-            "n_validation": args.val,
-            **asdict(config),
-        },
-        inputs=[],
-        outputs=list(paths.values()),
-        seed=args.seed,
-    )
+    write_manifest(os.path.join(args.out, "manifest.json"), args, inputs=[], outputs=list(paths.values()))
     train_set, eval_set, val_set = corpus.generate_splits(args.seed, args.train, args.eval, args.val, config)
     corpus.write_train(train_set, paths["train"])
     corpus.write_eval(val_set, paths["validation"])
@@ -121,14 +115,7 @@ def cmd_gen_synthetic(args):
 
 
 def cmd_prepare_vocab(args):
-    write_manifest(
-        args.out + ".manifest.json",
-        "prepare-vocab",
-        {"train": args.train},
-        inputs=[args.train],
-        outputs=[args.out],
-        seed=None,
-    )
+    write_manifest(args.out + ".manifest.json", args, inputs=[args.train], outputs=[args.out])
     train_set = corpus.load_train(args.train)
     vocabulary = vb.build_vocab(train_set)
     vb.save_vocab(vocabulary, args.out)
@@ -174,25 +161,7 @@ def cmd_train(args):
     vocabulary = vb.load_vocab(args.vocab) if args.vocab else None
     pretrained = (load_word_vectors(args.embeddings, dim=args.embedding_dim, dtype=args.precision)
                   if args.embeddings else None)
-    write_manifest(
-        args.out + ".manifest.json",
-        "train",
-        {
-            "model": asdict(config),
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "learning_rate": args.learning_rate,
-            "patience": args.patience,
-            "clip_norm": args.clip_norm,
-            "train": args.train,
-            "validation": args.val,
-            "vocab": args.vocab,
-            "embeddings": args.embeddings,
-        },
-        inputs=inputs,
-        outputs=outputs,
-        seed=args.seed,
-    )
+    write_manifest(args.out + ".manifest.json", args, inputs, outputs)
 
     train_set = corpus.load_train(args.train)
     val_set = corpus.load_eval(args.val)
@@ -226,24 +195,13 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model_paths = [p for p in args.models.split(",") if p]
+    if not model_paths:
+        raise corpus.ConfigError(f"--models names no checkpoint: {args.models!r}")
     vocabulary = vb.load_vocab(args.vocab)  # a bad file or scale fails before the manifest is written
     if args.cwf_scale is not None:
         evaluation.check_scale(args.cwf_scale)
     inputs = model_paths + [args.vocab, args.eval] + ([args.tune_cwf] if args.tune_cwf else [])
-    write_manifest(
-        args.manifest,
-        "evaluate",
-        {
-            "models": model_paths,
-            "vocab": args.vocab,
-            "eval": args.eval,
-            "cwf_scale": args.cwf_scale,
-            "tune_cwf": args.tune_cwf,
-        },
-        inputs=inputs,
-        outputs=[],
-        seed=None,
-    )
+    write_manifest(args.manifest, args, inputs, outputs=[])
     loaded = [models.load_checkpoint(p, vocab=vocabulary) for p in model_paths]
     eval_set = corpus.load_eval(args.eval)
     scale = args.cwf_scale if args.cwf_scale is not None else 0.0
@@ -262,14 +220,7 @@ def cmd_evaluate(args):
 
 
 def cmd_gradcheck(args):
-    write_manifest(
-        args.manifest,
-        "gradcheck",
-        {"arch": args.arch, "tolerance": args.tolerance, "h": args.step},
-        inputs=[],
-        outputs=[],
-        seed=args.seed,
-    )
+    write_manifest(args.manifest, args, inputs=[], outputs=[])
     train_set, _, _ = corpus.generate_splits(args.seed, 40, 1, 0)
     vocabulary = vb.build_vocab(train_set)
     config = models.ModelConfig(
@@ -329,7 +280,6 @@ def build_parser():
     gen.add_argument("--keywords-per-topic", type=int, default=synthetic.keywords_per_topic)
     gen.add_argument("--filler-vocab-size", type=int, default=synthetic.filler_vocab_size)
     gen.add_argument("--context-turns", type=int, default=synthetic.context_turns)
-    gen.add_argument("--config", help=config_help)
     gen.set_defaults(handler=cmd_gen_synthetic)
 
     prep = sub.add_parser("prepare-vocab", help="count words of a train CSV into a vocabulary file")
@@ -363,7 +313,6 @@ def build_parser():
         "(two dense heads, sigmoid(first) + second); the final sigmoid applies in both",
     )
     tr.add_argument("--clip-norm", type=float, help="global gradient-norm bound (default: no clipping)")
-    tr.add_argument("--config", help=config_help)
     tr.set_defaults(handler=cmd_train)
 
     ev = sub.add_parser("evaluate", help="rank an eval CSV with one model or an ensemble")
@@ -383,32 +332,47 @@ def build_parser():
     gc.add_argument("--h", type=float, default=1e-4, dest="step")
     gc.add_argument("--manifest", default="run-manifest.json")
     gc.set_defaults(handler=cmd_gradcheck)
+    for command in CONFIG_COMMANDS:
+        sub.choices[command].add_argument("--config", help=config_help)
     for command_parser in (parser, *sub.choices.values()):
+        command_parser.allow_abbrev = False  # a flag or config key names its option in full
         command_parser.exit_on_error = False  # a bad value raises ArgumentError, which main maps to exit 2
     return parser
 
 
 def parse_args(argv):
-    """Parse a command line; a --config file's lines go through the same parser.
+    """Parse a command line once; a --config file's lines go through the same parser.
 
     Each ``key = value`` line becomes ``--key-with-dashes=value`` in front of
     the explicit arguments (``argv[0]`` is the command), so explicit flags
-    win and every value passes its flag's own type and choices.
+    win, every value passes its flag's own type and choices, and a required
+    flag may come from the file.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
-    values = corpus.parse_config_file(args.config)
-    unknown = set(values) - (set(vars(args)) - {"command", "handler", "config"})  # each dest is its flag name
-    if unknown:
-        raise corpus.ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
+    scan = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    scan.add_argument("--config")  # finds the file, nothing else
+    path = scan.parse_known_args(argv[1:])[0].config if argv and argv[0] in CONFIG_COMMANDS else None
+    values = corpus.parse_config_file(path) if path else {}
+    if "config" in values:
+        raise corpus.ConfigError(f"{path}: a config file cannot name another config file")
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+
+    def sets(arguments, flag):
+        return any(a == flag or a.startswith(flag + "=") for a in arguments)
+
     try:
-        return parser.parse_args([argv[0], *flags, *argv[1:]])
-    except argparse.ArgumentError as err:  # only a config value can fail here
-        key = err.argument_name.lstrip("-").replace("-", "_")
-        raise corpus.ConfigError(f"{args.config}: bad {key} value: {err.message}") from None
+        args, extras = parser.parse_known_args([*argv[:1], *flags, *argv[1:]])
+    except argparse.ArgumentError as err:
+        flag = err.argument_name or ""
+        if sets(flags, flag) and not sets(argv[1:], flag):  # a bad value only the file sets
+            raise corpus.ConfigError(f"{path}: bad {flag[2:].replace('-', '_')} value: {err.message}") from None
+        raise
+    unknown = [key for key, flag in zip(values, flags) if flag in extras]
+    if unknown:
+        raise corpus.ConfigError(f"{path}: unknown keys {unknown}")
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:

@@ -199,7 +199,7 @@ class SyntheticConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Parse a ``key = value`` text file (one pair per line, # comments)."""
+    """Parse a ``key = value`` text file (one pair per line, # comments); a key may appear once."""
     values = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -209,7 +209,10 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -299,9 +302,12 @@ def _other_topic(topic, draw, n_topics):
     return (topic + 1 + draw) % n_topics
 
 
-def _generate(seed, n_train, n_eval, n_val, config):
-    if n_train <= 0 or n_eval <= 0 or n_val < 0:
-        raise ConfigError("n_train and n_eval must be positive")
+def generate_splits(seed, n_train, n_eval, n_val, config=SyntheticConfig()):
+    """Deterministic synthetic (train, eval, validation) sets; validation is
+    in eval format and drawn last from the same stream, so the train and eval
+    sets do not depend on ``n_val``."""
+    if n_train < 1 or n_eval < 1 or n_val < 0:
+        raise ConfigError(f"n_train and n_eval must be >= 1 and n_val >= 0, got {n_train}, {n_eval}, {n_val}")
     rng = np.random.default_rng(seed)
     T = config.topics
 
@@ -345,13 +351,6 @@ def _generate(seed, n_train, n_eval, n_val, config):
     evals = [eval_instance() for _ in range(n_eval)]
     vals = [eval_instance() for _ in range(n_val)]
     return train, evals, vals
-
-
-def generate_splits(seed, n_train, n_eval, n_val, config=SyntheticConfig()):
-    """Deterministic synthetic (train, eval, validation) sets; validation is
-    in eval format and drawn last from the same stream, so the train and eval
-    sets do not depend on ``n_val``."""
-    return _generate(seed, n_train, n_eval, n_val, config)
 
 
 def topic_keywords(instance_tokens) -> set:

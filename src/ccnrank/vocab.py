@@ -103,7 +103,6 @@ def load_vocab(path) -> Vocabulary:
 
 @dataclass(frozen=True, eq=False)
 class FrequencySplit:
-    threshold: int
     high: frozenset
     low: frozenset
     is_high: np.ndarray  # bool per id in the vocabulary's id space; pad and oov are False
@@ -115,7 +114,7 @@ def split_by_frequency(vocab: Vocabulary, threshold=DEFAULT_FREQUENCY_THRESHOLD)
     # pad (id 0) and oov (id 1) are never high; words_by_id[i] has id i + 2
     is_high = np.array([False, False] + [vocab.counts[w] > threshold for w in vocab.words_by_id])
     high, low = np.flatnonzero(is_high), np.flatnonzero(~is_high)[2:]
-    return FrequencySplit(threshold, frozenset(high.tolist()), frozenset(low.tolist()), is_high)
+    return FrequencySplit(frozenset(high.tolist()), frozenset(low.tolist()), is_high)
 
 
 def encode(texts, vocab: Vocabulary, length=DEFAULT_MAX_LEN, side=CONTEXT):

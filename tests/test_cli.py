@@ -120,6 +120,15 @@ class TestGenSynthetic:
         assert not (run_in_tmpdir / "x").exists()
 
 
+    @pytest.mark.parametrize("flags,message", [(("--train", "0"), "--train must be >= 1, got 0"),
+                                               (("--val", "-1"), "--val must be >= 0, got -1")])
+    def test_bad_count_is_usage_error_before_any_write(self, run_in_tmpdir, flags, message, capsys):
+        rc = main(["gen-synthetic", "--train", "10", "--eval", "5", "--out", "z", *flags])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert list(run_in_tmpdir.iterdir()) == []
+
+
 class TestPrepareVocab:
     def test_writes_vocab_and_manifest(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)
@@ -153,6 +162,7 @@ class TestTrain:
     def test_defaults_are_the_config_defaults(self, run_in_tmpdir, monkeypatch, arch):
         def no_training(model, train_set, config):
             assert asdict(config) == asdict(TrainConfig(validation=config.validation, log_path=config.log_path))
+            assert model.config == ModelConfig(arch)
             return model, [EpochReport(epoch=1, train_loss=0.0, val_accuracy=0.5, val_recall1=0.5, seconds=0.0)]
 
         monkeypatch.setattr(training, "train", no_training)
@@ -160,8 +170,6 @@ class TestTrain:
         rc = main(["train", "--arch", arch, "--train", str(data / "train.csv"),
                    "--val", str(data / "validation.csv"), "--out", "model.ckpt"])
         assert rc == EXIT_OK
-        manifest = json.loads((run_in_tmpdir / "model.ckpt.manifest.json").read_text())
-        assert manifest["configuration"]["model"] == asdict(ModelConfig(arch))
 
     def test_bogus_architecture_is_usage_error(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)
@@ -352,7 +360,7 @@ class TestConfigFile:
         assert rc == EXIT_OK
         manifest = json.loads((run_in_tmpdir / "model.ckpt.manifest.json").read_text())
         assert manifest["configuration"]["epochs"] == 1
-        assert manifest["configuration"]["model"]["hidden_size"] == 4  # train_tiny's --hidden-size 4
+        assert manifest["configuration"]["hidden_size"] == 4  # train_tiny's --hidden-size 4
 
     def test_value_outside_the_choices_is_usage_error(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)
@@ -373,6 +381,122 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert str(cfg) in err and "batch_size" in err
         assert not (run_in_tmpdir / "x").exists()
+
+
+TINY_TRAIN = "seed = 1\nepochs = 1\nbatch_size = 16\nhidden_size = 4\nembedding_dim = 4\nmax_len = 16\n"
+
+
+class TestOneParse:
+    """A --config file's lines and the explicit flags go through one parse."""
+
+    def test_gen_synthetic_takes_every_required_key_from_the_file(self, run_in_tmpdir):
+        cfg = run_in_tmpdir / "syn.cfg"
+        cfg.write_text("train = 20\neval = 2\nout = from_file\n")
+        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_OK
+        assert len(load_train(run_in_tmpdir / "from_file" / "train.csv")) == 20
+        assert len(load_eval(run_in_tmpdir / "from_file" / "validation.csv")) == 2
+
+    def test_train_takes_every_required_key_from_the_file(self, run_in_tmpdir):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text(f"arch = ccn_lstm\ntrain = {data / 'train.csv'}\nval = {data / 'validation.csv'}\n"
+                       f"out = from_file.ckpt\n{TINY_TRAIN}")
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        assert load_checkpoint(run_in_tmpdir / "from_file.ckpt").config.architecture == "ccn_lstm"
+
+    def test_explicit_flag_beats_a_required_key_of_the_file(self, run_in_tmpdir):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text(f"arch = ccn_lstm\ntrain = {data / 'train.csv'}\nval = {data / 'validation.csv'}\n"
+                       f"out = from_file.ckpt\n{TINY_TRAIN}")
+        assert main(["train", "--config", str(cfg), "--out", "explicit.ckpt", "--arch", "dual_lstm"]) == EXIT_OK
+        assert load_checkpoint(run_in_tmpdir / "explicit.ckpt").config.architecture == "dual_lstm"
+        assert not (run_in_tmpdir / "from_file.ckpt").exists()
+
+    def test_required_flag_in_neither_is_usage_error(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text(f"train = {data / 'train.csv'}\nval = {data / 'validation.csv'}\nout = m.ckpt\n")
+        before = set(run_in_tmpdir.iterdir())
+        assert main(["train", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.rstrip().endswith("the following arguments are required: --arch")
+        assert set(run_in_tmpdir.iterdir()) == before
+
+    def test_abbreviated_flag_is_usage_error(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--epoch", "3"))
+        assert rc == EXIT_USAGE
+        assert "unrecognized arguments: --epoch 3" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_abbreviated_key_is_usage_error(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text("epoch = 3\n")
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--config", str(cfg)))
+        assert rc == EXIT_USAGE
+        assert f"{cfg}: unknown keys ['epoch']" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_duplicate_key_is_usage_error(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text("patience = 2\npatience = 4\n")
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--config", str(cfg)))
+        assert rc == EXIT_USAGE
+        assert f"{cfg}: line 2: duplicate key 'patience'" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_config_on_a_command_without_it_is_usage_error(self, run_in_tmpdir, capsys):
+        assert main(["gradcheck", "--arch", "dual_lstm", "--config", "missing.cfg"]) == EXIT_USAGE
+        assert "unrecognized arguments: --config missing.cfg" in capsys.readouterr().err
+        assert list(run_in_tmpdir.iterdir()) == []
+
+    def test_config_key_in_a_file_is_usage_error(self, run_in_tmpdir, capsys):
+        other = run_in_tmpdir / "other.cfg"
+        other.write_text("train = 20\neval = 2\nout = o\n")
+        cfg = run_in_tmpdir / "syn.cfg"
+        cfg.write_text(f"config = {other}\n")
+        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_USAGE
+        assert f"{cfg}: a config file cannot name another config file" in capsys.readouterr().err
+        assert not (run_in_tmpdir / "o").exists()
+
+
+def command_lines(tmp_path):
+    """One command line per command, and the files the later ones read."""
+    data = gen(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("clip_norm = 2.5\n")
+    return {
+        "gen-synthetic": ["gen-synthetic", "--train", "10", "--eval", "2", "--out", "g", "--topics", "3"],
+        "prepare-vocab": ["prepare-vocab", "--train", str(data / "train.csv"), "--out", "v.txt"],
+        "train": ["train", "--arch", "dual_lstm", "--train", str(data / "train.csv"),
+                  "--val", str(data / "validation.csv"), "--out", "m.ckpt", "--epochs", "1",
+                  "--hidden-size", "4", "--embedding-dim", "4", "--max-len", "16", "--config", str(cfg)],
+        "evaluate": ["evaluate", "--models", "m.ckpt,m.ckpt", "--vocab", "m.ckpt.vocab.txt",
+                     "--eval", str(data / "eval.csv"), "--cwf-scale", "0.5"],
+        "gradcheck": ["gradcheck", "--arch", "mfcw_lstm", "--h", "1e-5", "--manifest", "g.json"],
+    }
+
+
+MANIFESTS = {"gen-synthetic": "g/manifest.json", "prepare-vocab": "v.txt.manifest.json",
+             "train": "m.ckpt.manifest.json", "evaluate": "run-manifest.json", "gradcheck": "g.json"}
+
+
+@pytest.mark.parametrize("command", list(MANIFESTS))
+def test_manifest_configuration_is_the_parsed_flags(run_in_tmpdir, command):
+    lines = command_lines(run_in_tmpdir)
+    if command == "evaluate":
+        assert main(lines["train"]) == EXIT_OK
+    assert main(lines[command]) == EXIT_OK
+    manifest = json.loads((run_in_tmpdir / MANIFESTS[command]).read_text())
+    parsed = vars(cli.parse_args(lines[command]))
+    if command == "gen-synthetic":
+        parsed["val"] = parsed["eval"]  # --val defaults to --eval
+    assert manifest["command"] == parsed.pop("command") == command
+    del parsed["handler"]
+    assert manifest["configuration"] == parsed
+    assert manifest["seed"] == parsed.get("seed")
 
 
 def readme_commands():
@@ -464,6 +588,15 @@ class TestEvaluate:
         rc = main(["evaluate", "--models", str(ckpt), "--vocab", str(vocab), "--eval", str(data / "eval.csv")])
         assert rc == EXIT_USAGE
         assert f"{vocab}: line 2: duplicate word 'hello'" in capsys.readouterr().err
+        assert not (run_in_tmpdir / "run-manifest.json").exists()
+
+    def test_empty_model_list_is_usage_error_before_the_manifest(self, run_in_tmpdir, capsys):
+        data, _, vocab = self.make_model(run_in_tmpdir)
+        capsys.readouterr()
+        rc = main(["evaluate", "--models", ",", "--vocab", str(vocab), "--eval", str(data / "eval.csv")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--models names no checkpoint" in err and "evaluating" not in err
         assert not (run_in_tmpdir / "run-manifest.json").exists()
 
     def test_nan_weights_are_numeric_failure(self, run_in_tmpdir, capsys):

@@ -1,3 +1,4 @@
+import re
 import string
 
 import pytest
@@ -230,6 +231,8 @@ class TestSynthetic:
             generate_splits(0, 0, 5, 0)
         with pytest.raises(ConfigError):
             generate_splits(0, 5, 0, 0)
+        with pytest.raises(ConfigError, match="n_val >= 0"):
+            generate_splits(0, 5, 5, -1)
 
 
 class TestConfigFile:
@@ -243,4 +246,10 @@ class TestConfigFile:
         path = tmp_path / "syn.cfg"
         path.write_text("topics 4\n")
         with pytest.raises(ConfigError, match="line 1"):
+            parse_config_file(path)
+
+    def test_duplicate_key(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("epochs = 1\n# a later line must not win silently\nepochs = 5\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: line 3: duplicate key 'epochs'")):
             parse_config_file(path)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -220,6 +221,10 @@ def cmd_evaluate(args):
 
 
 def cmd_gradcheck(args):
+    if not 0 < args.step < math.inf:  # before anything is written
+        raise corpus.ConfigError(f"--h must be a finite number > 0, got {args.step}")
+    if not 0 <= args.tolerance < math.inf:
+        raise corpus.ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     write_manifest(args.manifest, args, inputs=[], outputs=[])
     train_set, _, _ = corpus.generate_splits(args.seed, 40, 1, 0)
     vocabulary = vb.build_vocab(train_set)

@@ -9,6 +9,12 @@ Eval CSV, header ``Context,Ground Truth Utterance,Distractor_0,...,
 Distractor_8``: one context plus 10 candidate responses per row, the
 ground-truth candidate first.
 
+Loading tokenizes each distinct text, and each distinct whitespace chunk,
+once per file: the per-load tables hold every token tuple and share one
+string object among equal tokens, and nothing is cached across loads.  A
+file that is not UTF-8, holds a field over the csv module's size limit or
+breaks its format raises ``ParseError`` naming the file and the line or row.
+
 The synthetic generator builds desk-scale corpora in the same shape as the
 real data: dialogues draw a topic, each topic owns rare keyword tokens and
 a slice of frequent topical vocabulary, the correct response shares a rare
@@ -25,6 +31,7 @@ import math
 import re
 import string
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -50,6 +57,23 @@ class ConfigError(ValueError):
     """A configuration value is unusable."""
 
 
+def _chunk_tokens(chunk):
+    """The tokens of one lowercased whitespace-free chunk: leading and trailing
+    punctuation characters become their own tokens, unless the chunk is a tag."""
+    if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:  # tags start with "_", so reach the regex
+        return (chunk,)
+    if _TAG_RE.match(chunk):
+        return (chunk,)
+    i, j = 0, len(chunk)
+    while i < j and chunk[i] in _PUNCT:
+        i += 1
+    while j > i and chunk[j - 1] in _PUNCT:
+        j -= 1
+    if i == j:
+        return tuple(chunk)
+    return (*chunk[:i], chunk[i:j], *chunk[j:])
+
+
 def tokenize(text: str) -> TokenSequence:
     """Rule-based tokenizer: lowercase, split on whitespace, detach edge punctuation.
 
@@ -59,32 +83,25 @@ def tokenize(text: str) -> TokenSequence:
     are never split.  Deterministic, and idempotent on its own output
     joined by single spaces.
     """
-    tokens = []
-    for chunk in text.lower().split():
-        if _TAG_RE.match(chunk):
-            tokens.append(chunk)
-            continue
-        i, j = 0, len(chunk)
-        while i < j and chunk[i] in _PUNCT:
-            i += 1
-        while j > i and chunk[j - 1] in _PUNCT:
-            j -= 1
-        tokens.extend(chunk[:i])
-        if i < j:
-            tokens.append(chunk[i:j])
-        tokens.extend(chunk[j:])
-    return tuple(tokens)
+    return tuple(chain.from_iterable(map(_chunk_tokens, text.lower().split())))
 
 
 def _load_tokenizer():
-    """``tokenize`` for one file load: each distinct text is tokenized once,
-    and equal tokens share one string object."""
+    """``tokenize`` for one file load: each distinct text and each distinct
+    chunk is tokenized once, and equal tokens share one string object."""
     texts, words = {}, {}
+
+    class ChunkTable(dict):
+        def __missing__(self, chunk):
+            tokens = self[chunk] = tuple(words.setdefault(t, t) for t in _chunk_tokens(chunk))
+            return tokens
+
+    chunk_tokens = ChunkTable().__getitem__
 
     def tokenize_text(text):
         tokens = texts.get(text)
         if tokens is None:
-            tokens = texts[text] = tuple(words.setdefault(t, t) for t in tokenize(text))
+            tokens = texts[text] = tuple(chain.from_iterable(map(chunk_tokens, text.lower().split())))
         return tokens
 
     return tokenize_text
@@ -116,28 +133,34 @@ class EvalInstance:
 # -- file IO -----------------------------------------------------------------
 
 
-def _check_header(row, expected, path):
-    if row != expected:
-        raise ParseError(f"{path}: row 1: expected header {expected}, got {row}")
+def _rows(path, header):
+    """Yield ``(row number, row)`` for each data row of a CSV file whose first
+    row is ``header``; malformed input raises ParseError naming the file."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise ParseError(f"{path}: empty file")
+            if first != header:
+                raise ParseError(f"{path}: row 1: expected header {header}, got {first}")
+            yield from enumerate(reader, start=1)
+        except csv.Error as err:  # e.g. a field over the csv module's size limit
+            raise ParseError(f"{path}: line {reader.line_num}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: not UTF-8 after line {reader.line_num}: {err.reason}") from None
 
 
 def load_train(path) -> list:
     """Read a train CSV into TrainInstances, preserving row order."""
     out = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        _check_header(header, TRAIN_HEADER, path)
-        tokens = _load_tokenizer()  # a context appears on two rows, once per label
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 3:
-                raise ParseError(f"{path}: row {i}: expected 3 columns, got {len(row)}")
-            if row[2] not in ("0", "1"):
-                raise ParseError(f"{path}: row {i}: label must be 0 or 1, got {row[2]!r}")
-            out.append(TrainInstance(tokens(row[0]), tokens(row[1]), int(row[2])))
+    tokens = _load_tokenizer()  # a context appears on two rows, once per label
+    for i, row in _rows(path, TRAIN_HEADER):
+        if len(row) != 3:
+            raise ParseError(f"{path}: row {i}: expected 3 columns, got {len(row)}")
+        if row[2] not in ("0", "1"):
+            raise ParseError(f"{path}: row {i}: label must be 0 or 1, got {row[2]!r}")
+        out.append(TrainInstance(tokens(row[0]), tokens(row[1]), int(row[2])))
     return out
 
 
@@ -152,20 +175,11 @@ def write_train(instances, path):
 def load_eval(path) -> list:
     """Read an eval CSV; candidates[0] is the ground-truth column."""
     out = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        _check_header(header, EVAL_HEADER, path)
-        tokens = _load_tokenizer()
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 1 + NUM_CANDIDATES:
-                raise ParseError(
-                    f"{path}: row {i}: expected {1 + NUM_CANDIDATES} columns, got {len(row)}"
-                )
-            out.append(EvalInstance(tokens(row[0]), tuple(tokens(c) for c in row[1:])))
+    tokens = _load_tokenizer()
+    for i, row in _rows(path, EVAL_HEADER):
+        if len(row) != 1 + NUM_CANDIDATES:
+            raise ParseError(f"{path}: row {i}: expected {1 + NUM_CANDIDATES} columns, got {len(row)}")
+        out.append(EvalInstance(tokens(row[0]), tuple(tokens(c) for c in row[1:])))
     return out
 
 

@@ -20,8 +20,10 @@ carry no matching signal and are excluded throughout.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -61,12 +63,8 @@ def build_vocab(train_instances) -> Vocabulary:
     """Count every token over train contexts and responses (both label classes)."""
     if not train_instances:
         raise ContractError("build_vocab requires a non-empty train set")
-    counts = {}
-    for inst in train_instances:
-        for token in inst.context:
-            counts[token] = counts.get(token, 0) + 1
-        for token in inst.response:
-            counts[token] = counts.get(token, 0) + 1
+    sides = chain.from_iterable(map(attrgetter("context", "response"), train_instances))
+    counts = dict(Counter(chain.from_iterable(sides)))  # first-seen order; a missing word raises
     ordered = sorted(counts, key=lambda w: (-counts[w], w))
     word_to_id = {w: i + 2 for i, w in enumerate(ordered)}
     return Vocabulary(word_to_id=word_to_id, counts=counts, words_by_id=tuple(ordered))

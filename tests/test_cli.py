@@ -144,6 +144,17 @@ class TestPrepareVocab:
         rc = main(["prepare-vocab", "--train", "nope.csv", "--out", "v.txt"])
         assert rc == EXIT_IO
 
+    @pytest.mark.parametrize("body, message", [
+        (b"ctx,resp,1\n" + b"x" * 200_000 + b",resp,0\n", "train.csv: line 3: field larger than field limit"),
+        (b"ctx,resp,1\nctx,r\xe9ponse,0\n", "train.csv: not UTF-8 after line 0"),
+    ], ids=["oversized-field", "not-utf8"])
+    def test_unreadable_csv_is_usage_error(self, run_in_tmpdir, capsys, body, message):
+        (run_in_tmpdir / "train.csv").write_bytes(b"Context,Utterance,Label\n" + body)
+        rc = main(["prepare-vocab", "--train", "train.csv", "--out", "v.txt"])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (run_in_tmpdir / "v.txt").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_log_vocab_manifest(self, run_in_tmpdir, capsys):
@@ -698,6 +709,15 @@ class TestGradcheck:
         rc = main(["gradcheck", "--arch", "dual_lstm"])
         assert rc == EXIT_VERIFICATION
         assert "passed\t0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [("--h", "0"), ("--h", "-1e-4"), ("--h", "nan"), ("--h", "inf"),
+                                             ("--tolerance", "-1"), ("--tolerance", "nan"),
+                                             ("--tolerance", "inf")])
+    def test_bad_step_or_tolerance_is_usage_error_before_any_write(self, run_in_tmpdir, capsys, flag, value):
+        rc = main(["gradcheck", "--arch", "dual_lstm", flag, value])
+        assert rc == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert list(run_in_tmpdir.iterdir()) == []
 
     def test_writes_manifest_first(self, run_in_tmpdir):
         main(["gradcheck", "--arch", "dual_lstm"])

@@ -10,6 +10,7 @@ from ccnrank.corpus import (
     ParseError,
     SyntheticConfig,
     TrainInstance,
+    _load_tokenizer,
     generate_splits,
     load_eval,
     load_train,
@@ -19,6 +20,38 @@ from ccnrank.corpus import (
     write_eval,
     write_train,
 )
+
+TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(string.ascii_letters + string.digits + string.punctuation),
+        st.sampled_from(["__eou__", "__EOT__", "__url__", "__a_1__", "_____", "__", "İ", "ß", "ǅ", "ﬁ"]),
+        st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003",
+                         "\u2028", "\u3000"]),
+        st.characters(),
+    ),
+    max_size=40,
+).map("".join)
+
+_TAG = re.compile(r"^__[a-z0-9_]+__$")
+
+
+def reference_tokenize(text):
+    """The tokenizer's rule as one loop over the lowercased whitespace chunks."""
+    tokens = []
+    for chunk in text.lower().split():
+        if _TAG.match(chunk):
+            tokens.append(chunk)
+            continue
+        i, j = 0, len(chunk)
+        while i < j and chunk[i] in string.punctuation:
+            i += 1
+        while j > i and chunk[j - 1] in string.punctuation:
+            j -= 1
+        tokens.extend(chunk[:i])
+        if i < j:
+            tokens.append(chunk[i:j])
+        tokens.extend(chunk[j:])
+    return tuple(tokens)
 
 
 class TestTokenize:
@@ -55,21 +88,23 @@ class TestTokenize:
             assert once == again
 
     @settings(max_examples=500, deadline=None)
-    @given(text=st.lists(
-        st.one_of(
-            st.sampled_from(string.ascii_letters + string.digits + string.punctuation),
-            st.sampled_from(["__eou__", "__EOT__", "__url__", "__a_1__", "_____", "__", "İ", "ß", "ǅ", "ﬁ"]),
-            st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003",
-                             "\u2028", "\u3000"]),
-            st.characters(),
-        ),
-        max_size=40,
-    ).map("".join))
+    @given(text=TEXTS)
     @example(text="(__eou__),")
     @example(text="__eou__\u2003__EOU__\xa0x__eou__")
     def test_idempotent_property(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=TEXTS)
+    @example(text="(__eou__),")
+    @example(text="__eou__\u2003__EOU__\xa0x__eou__ 'ΟΔΟΣ' ...")
+    def test_matches_the_per_chunk_loop(self, text):
+        expected = reference_tokenize(text)
+        assert tokenize(text) == expected
+        load = _load_tokenizer()
+        assert load(text) == expected
+        assert load(text + " " + text) == expected + expected  # every chunk from the load's chunk table
 
 
 class TestTrainFile:

@@ -55,6 +55,19 @@ class TestBuildVocab:
             recount.update(inst.response)
         assert vocab.counts == dict(recount)
 
+    def test_matches_a_plain_counting_loop(self):
+        train, _, _ = generate_splits(21, 300, 5, 0)
+        counts = {}
+        for inst in train:
+            for token in inst.context + inst.response:
+                counts[token] = counts.get(token, 0) + 1
+        ordered = sorted(counts, key=lambda w: (-counts[w], w))
+        vocab = build_vocab(train)
+        assert type(vocab.counts) is dict  # a missing word raises KeyError; a Counter would give 0
+        assert list(vocab.counts.items()) == list(counts.items())  # same key order: first seen
+        assert vocab.words_by_id == tuple(ordered)
+        assert vocab.word_to_id == {w: i + 2 for i, w in enumerate(ordered)}
+
     def test_empty_train_set_rejected(self):
         with pytest.raises(ContractError):
             build_vocab([])

@@ -15,7 +15,10 @@ the clipping path runs too (k changes nothing else in the two LSTM models).
 Each trains 2 epochs on a synthetic seed-11 corpus (8-turn contexts, 240
 train pairs, embedding and hidden size 8, batch 32); the digest covers every
 trained parameter and ``score_pairs`` over the eval pairs at batch sizes 256
-and 10.
+and 10.  The corpus goes through the CSV files: it is written with
+``write_train``/``write_eval`` to a temporary directory, and the runs use
+what ``load_train``/``load_eval`` read back, so the tokenizer and the loader
+are under the digest too.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -51,8 +55,18 @@ def fingerprint(arch, head, k, max_len, precision, data):
     return digest.hexdigest()
 
 
+def read_back(train_set, eval_set, val_set):
+    """The splits as the loader reads them from their CSV files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("train.csv", "eval.csv", "validation.csv")]
+        corpus.write_train(train_set, paths[0])
+        corpus.write_eval(eval_set, paths[1])
+        corpus.write_eval(val_set, paths[2])
+        return corpus.load_train(paths[0]), corpus.load_eval(paths[1]), corpus.load_eval(paths[2])
+
+
 def main():
-    data = corpus.generate_splits(11, 240, 20, 10, corpus.SyntheticConfig(context_turns=8))
+    data = read_back(*corpus.generate_splits(11, 240, 20, 10, corpus.SyntheticConfig(context_turns=8)))
     total = hashlib.sha256()
     for (arch, head), k, max_len, precision in itertools.product(
             VARIANTS, (1, 2), (40, 160), ("float64", "float32")):

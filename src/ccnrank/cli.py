@@ -4,8 +4,9 @@ Commands: gen-synthetic, prepare-vocab, train, evaluate (one checkpoint or
 an ensemble of several, optionally CWF-rescored), gradcheck.
 
 Conventions:
-  * every command writes a JSON run manifest (command, every resolved flag,
-    input hashes, seed, output paths) before doing work;
+  * every command reads and checks its inputs, then writes a JSON run
+    manifest (command, every resolved flag, input hashes, seed, output
+    paths) before doing work, so a usage error leaves no file behind;
   * progress goes to standard error, machine-readable results (tab-separated
     ``name<TAB>value`` lines) to standard output;
   * exit codes: 0 success, 1 IO failure, 2 usage/config error, 3 numerical
@@ -84,6 +85,14 @@ def write_manifest(path, args, inputs, outputs):
     return manifest
 
 
+def _instances(load, path):
+    """The instances ``load`` reads from a CSV; a file with none is a usage error."""
+    instances = load(path)
+    if not instances:
+        raise corpus.ConfigError(f"{path}: no instances")
+    return instances
+
+
 # -- gen-synthetic -------------------------------------------------------------
 
 
@@ -116,8 +125,8 @@ def cmd_gen_synthetic(args):
 
 
 def cmd_prepare_vocab(args):
+    train_set = _instances(corpus.load_train, args.train)
     write_manifest(args.out + ".manifest.json", args, inputs=[args.train], outputs=[args.out])
-    train_set = corpus.load_train(args.train)
     vocabulary = vb.build_vocab(train_set)
     vb.save_vocab(vocabulary, args.out)
     _progress(f"vocabulary of {len(vocabulary.words_by_id)} words written to {args.out}")
@@ -158,14 +167,14 @@ def cmd_train(args):
         clip_norm=args.clip_norm,
         log_path=log_path,
     )
-    # bad --vocab or --embeddings files fail before any write
+    # every input is read and checked before the first write
     vocabulary = vb.load_vocab(args.vocab) if args.vocab else None
     pretrained = (load_word_vectors(args.embeddings, dim=args.embedding_dim, dtype=args.precision)
                   if args.embeddings else None)
+    train_set = _instances(corpus.load_train, args.train)
+    train_config.validation = _instances(corpus.load_eval, args.val)
     write_manifest(args.out + ".manifest.json", args, inputs, outputs)
 
-    train_set = corpus.load_train(args.train)
-    val_set = corpus.load_eval(args.val)
     if vocabulary is None:
         vocabulary = vb.build_vocab(train_set)
         vb.save_vocab(vocabulary, vocab_out)
@@ -177,7 +186,6 @@ def cmd_train(args):
 
     if os.path.exists(log_path):
         os.remove(log_path)
-    train_config.validation = val_set
     _progress(f"training {args.arch} on {len(train_set)} instances ({args.epochs} epochs max)")
     model, reports = training.train(model, train_set, train_config)
     models.save_checkpoint(model, args.out)
@@ -198,16 +206,16 @@ def cmd_evaluate(args):
     model_paths = [p for p in args.models.split(",") if p]
     if not model_paths:
         raise corpus.ConfigError(f"--models names no checkpoint: {args.models!r}")
-    vocabulary = vb.load_vocab(args.vocab)  # a bad file or scale fails before the manifest is written
     if args.cwf_scale is not None:
         evaluation.check_scale(args.cwf_scale)
+    vocabulary = vb.load_vocab(args.vocab)
+    loaded = [models.load_checkpoint(p, vocab=vocabulary) for p in model_paths]
+    eval_set = _instances(corpus.load_eval, args.eval)
+    tune_set = _instances(corpus.load_eval, args.tune_cwf) if args.tune_cwf else None
     inputs = model_paths + [args.vocab, args.eval] + ([args.tune_cwf] if args.tune_cwf else [])
     write_manifest(args.manifest, args, inputs, outputs=[])
-    loaded = [models.load_checkpoint(p, vocab=vocabulary) for p in model_paths]
-    eval_set = corpus.load_eval(args.eval)
     scale = args.cwf_scale if args.cwf_scale is not None else 0.0
-    if args.tune_cwf:
-        tune_set = corpus.load_eval(args.tune_cwf)
+    if tune_set:
         _progress(f"tuning cwf scale on {len(tune_set)} validation instances")
         scale = evaluation.tune_scale(loaded, tune_set)
         _emit("tuned_scale", f"{scale:g}")

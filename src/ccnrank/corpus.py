@@ -290,23 +290,11 @@ class _TopicWorld:
         when ``echo_source`` is given, else draws two fresh topical words so that
         correct responses and distractors share the same length profile."""
         body = self.utterance(topic, int(self.rng.integers(6, 9)))
-        if echo_source is not None:
-            pool = [w for w in echo_source if w in set(self.topical[topic])]
-            for _ in range(2):
-                if pool:
-                    body.insert(
-                        int(self.rng.integers(len(body) + 1)),
-                        pool[int(self.rng.integers(len(pool)))],
-                    )
-                else:
-                    body.insert(int(self.rng.integers(len(body) + 1)), self.filler(topic))
-        else:
-            for _ in range(2):
-                pool = self.topical[topic]
-                body.insert(
-                    int(self.rng.integers(len(body) + 1)),
-                    pool[int(self.rng.integers(len(pool)))],
-                )
+        topical = self.topical[topic]
+        pool = topical if echo_source is None else list(filter(set(topical).__contains__, echo_source))
+        for _ in range(2):  # each word draws its position, then a pool word (a filler if the pool is empty)
+            position = int(self.rng.integers(len(body) + 1))
+            body.insert(position, pool[int(self.rng.integers(len(pool)))] if pool else self.filler(topic))
         body.insert(int(self.rng.integers(len(body) + 1)), keyword)
         body.append(END_OF_UTTERANCE)
         return tuple(body)

@@ -33,19 +33,22 @@ pairs' gradients).  The cross-convolution grid is per pair, so that branch
 takes each pair's context ids.
 
 Checkpoints are a binary container: 8-byte magic ``CCNRANK1``, a 4-byte
-little-endian header length, a canonical-JSON header (format version,
-model config, vocabulary hash, ordered parameter manifest), then the raw
-little-endian row-major float payloads in manifest order.  Format version 2
-ends with the 32-byte sha256 of every byte before it (magic, length, header
-and payloads), so a damaged file raises ``CheckpointError`` instead of
-loading as another model; version-1 files, which end at the payloads, still
-load.
+little-endian header length, a canonical-JSON header (format version 2,
+model config, vocabulary hash, parameter manifest), the raw little-endian
+row-major float payloads in manifest order, and the 32-byte sha256 of every
+byte before it.  The manifest is derived, not stored freely: ``_manifest``
+lists every parameter of ``parameter_spec`` in name order with the config's
+dtype, and a file loads only if its manifest equals the one its config and
+first embedding table's row count imply.  Any other file, a damaged one or
+one of another format version, raises ``CheckpointError`` instead of
+loading as another model.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -91,7 +94,7 @@ BRANCHES = {
 
 CHECKPOINT_MAGIC = b"CCNRANK1"
 CHECKPOINT_VERSION = 2
-_DIGEST_SIZE = 32  # the sha256 that ends a version-2 file
+_DIGEST_SIZE = 32  # the sha256 that ends a file
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
 
 
@@ -373,22 +376,26 @@ def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Te
 # -- persistence ----------------------------------------------------------------
 
 
+def _manifest(config: ModelConfig, vocab_rows):
+    """The header's parameter manifest, which the config and the vocabulary
+    size fix: every parameter in name order, in the config's dtype."""
+    dtype = _DTYPES[config.precision]
+    return [{"dtype": dtype, "name": name, "shape": list(shape)}
+            for name, shape in sorted(parameter_spec(config, vocab_rows))]
+
+
 def save_checkpoint(model: RankingModel, path):
     """Write the model bit-exactly; save -> load -> save is byte-identical."""
-    manifest = []
-    payload = []
-    for name in sorted(model.params.names()):
-        t = model.params[name]
-        dtype = _DTYPES[model.config.precision]
-        manifest.append({"name": name, "shape": list(t.shape), "dtype": dtype})
-        payload.append(np.ascontiguousarray(t.data, dtype=np.dtype(dtype)).tobytes())
+    config = model.config
+    manifest = _manifest(config, model.params[_embedding_names(config)[0]].shape[0])
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "config": asdict(model.config),
+        "config": asdict(config),
         "vocab_hash": model.vocab_hash,
         "manifest": manifest,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = [np.ascontiguousarray(model.params[e["name"]].data, dtype=e["dtype"]).tobytes() for e in manifest]
     digest = hashlib.sha256()
     with open(path, "wb") as f:
         for chunk in (CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob, *payload):
@@ -397,86 +404,59 @@ def save_checkpoint(model: RankingModel, path):
         f.write(digest.digest())
 
 
-def _decode_header(header, path):
-    """Config, vocabulary hash and (name, shape, dtype) manifest entries of a
-    parsed header.  Any malformed field raises CheckpointError."""
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
-    if header.get("format_version") not in (1, CHECKPOINT_VERSION):
-        raise CheckpointError(
-            f"{path}: format version {header.get('format_version')} is not 1 or {CHECKPOINT_VERSION}"
-        )
+def load_checkpoint(path, vocab: Vocabulary | None = None) -> RankingModel:
+    """Read a checkpoint; attach ``vocab`` (hash-checked) when provided.  The
+    manifest must be the one the config implies; damage raises CheckpointError."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    start = len(CHECKPOINT_MAGIC) + 4  # magic, header length
+    if len(raw) < start or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    (header_len,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
+    if start + header_len > len(raw):
+        raise CheckpointError(f"{path}: truncated header")
     try:
-        keys = set(header["config"])
-        if keys != {f.name for f in fields(ModelConfig)}:
-            raise CheckpointError(f"{path}: config keys {sorted(map(str, keys))} are not ModelConfig's")
-        config = ModelConfig(**header["config"])
-        # older files also carry a "trainable" flag per entry; it is ignored
-        entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in header["manifest"]]
-    except (KeyError, TypeError, ContractError) as err:
-        raise CheckpointError(f"{path}: malformed header: {err!r}") from None
-    for name, shape, _ in entries:
-        if not isinstance(name, str) or not all(type(d) is int and d > 0 for d in shape):
-            raise CheckpointError(f"{path}: malformed manifest entry {name!r} with shape {shape}")
+        header = json.loads(raw[start : start + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise CheckpointError(f"{path}: unreadable header: {err}") from None
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: format version {version} is not {CHECKPOINT_VERSION}")
+    config = header.get("config")
+    types = {f.name: f.type for f in fields(ModelConfig)}  # annotation strings: "int", "str"
+    if not isinstance(config, dict) or {k: type(v).__name__ for k, v in config.items()} != types:
+        raise CheckpointError(f"{path}: config {config!r} is not ModelConfig's fields {types}")
+    try:
+        config = ModelConfig(**config)
+    except ContractError as err:
+        raise CheckpointError(f"{path}: bad config: {err}") from None
+    entries, table = header.get("manifest"), _embedding_names(config)[0]
+    try:
+        rows = next(e["shape"][0] for e in entries if e["name"] == table)
+    except (KeyError, TypeError, IndexError, StopIteration):
+        rows = None
+    if type(rows) is not int or rows < 1:
+        raise CheckpointError(f"{path}: the manifest gives no row count for {table!r}")
+    manifest = _manifest(config, rows)
+    if entries != manifest:
+        i = next((i for i, pair in enumerate(zip(entries, manifest)) if pair[0] != pair[1]),
+                 min(len(entries), len(manifest)))  # where they first differ, or where one ends
+        found, implied = (m[i] if i < len(m) else "nothing" for m in (entries, manifest))
+        raise CheckpointError(f"{path}: manifest entry {i} is {found}, the config implies {implied}")
     vocab_hash = header.get("vocab_hash")
     if vocab_hash is not None and not isinstance(vocab_hash, str):
         raise CheckpointError(f"{path}: vocabulary hash is not a string")
-    return config, vocab_hash, entries
-
-
-def load_checkpoint(path, vocab: Vocabulary | None = None) -> RankingModel:
-    """Read a checkpoint; attach ``vocab`` (hash-checked) when provided."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 4 or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
-    (header_len,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    if offset + header_len > len(raw):
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise CheckpointError(f"{path}: unreadable header: {err}") from None
-    offset += header_len
-    config, vocab_hash, manifest = _decode_header(header, path)
-    if not manifest:
-        raise CheckpointError(f"{path}: empty manifest")
-    table = _embedding_names(config)[0]
-    vocab_rows = next((shape[0] for name, shape, _ in manifest if name == table and shape), None)
-    if vocab_rows is None:
-        raise CheckpointError(f"{path}: manifest lacks the embedding table")
-    expected = dict(parameter_spec(config, vocab_rows))
-    params = ParameterSet()
-    for name, shape, dtype in manifest:
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected parameter {name!r}")
-        if name in params:
-            raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-        if shape != expected[name]:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {shape}, expected {expected[name]}"
-            )
-        if dtype not in _DTYPES.values():
-            raise CheckpointError(f"{path}: parameter {name!r} has unsupported dtype {dtype!r}")
-        count = int(np.prod(shape))
-        nbytes = count * np.dtype(dtype).itemsize
-        if offset + nbytes > len(raw):
-            raise CheckpointError(f"{path}: truncated payload for parameter {name!r}")
-        arr = np.frombuffer(raw, dtype=np.dtype(dtype), count=count, offset=offset).reshape(shape)
-        offset += nbytes
-        params.add(name, arr.copy())
-    missing = set(expected) - set(params.names())
-    if missing:
-        raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
-    digest_size = 0 if header["format_version"] == 1 else _DIGEST_SIZE
-    if offset + digest_size > len(raw):
-        raise CheckpointError(f"{path}: truncated checksum")
-    if offset + digest_size != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset - digest_size} trailing bytes after payload")
-    if digest_size and hashlib.sha256(memoryview(raw)[:offset]).digest() != raw[offset:]:
+    dtype = np.dtype(_DTYPES[config.precision])
+    end = start + header_len + dtype.itemsize * sum(math.prod(e["shape"]) for e in manifest)
+    if len(raw) != end + _DIGEST_SIZE:
+        raise CheckpointError(f"{path}: truncated or extended: {len(raw)} bytes, expected {end + _DIGEST_SIZE}")
+    if hashlib.sha256(memoryview(raw)[:end]).digest() != raw[end:]:
         raise CheckpointError(f"{path}: sha256 mismatch: the file is damaged")
+    params, offset = ParameterSet(), start + header_len
+    for e in manifest:
+        arr = np.frombuffer(raw, dtype, math.prod(e["shape"]), offset).reshape(e["shape"])
+        params.add(e["name"], arr.copy())
+        offset += arr.nbytes
     model = RankingModel(config, params, vocab_hash=vocab_hash)
     if vocab is not None:
         model.attach_vocab(vocab)

@@ -43,7 +43,6 @@ class TrainConfig:
     seed: int = 0
     patience: int = 2
     validation: list = field(default_factory=list)  # eval-format instances
-    rho: float = 0.9
     epsilon: float = 1e-6
     clip_norm: float | None = None  # global-norm clip, off by default
     log_path: str | None = None
@@ -132,12 +131,7 @@ def train(model: RankingModel, train_instances, config: TrainConfig):
     prepared = prepare_pairs(model, pairs)
 
     rng = np.random.default_rng(config.seed)
-    optimizer = RmsProp(
-        model.params,
-        learning_rate=config.learning_rate,
-        rho=config.rho,
-        epsilon=config.epsilon,
-    )
+    optimizer = RmsProp(model.params, learning_rate=config.learning_rate, epsilon=config.epsilon)
     reports = []
     best_accuracy = -1.0
     best_values = None

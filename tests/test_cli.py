@@ -12,11 +12,12 @@ import numpy as np
 
 from ccnrank import cli, models, training
 from ccnrank.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from ccnrank.corpus import load_eval, load_train
+from ccnrank.corpus import load_eval, load_train, write_eval, write_train
 from ccnrank.models import ARCHITECTURES, ModelConfig, load_checkpoint, save_checkpoint
 from ccnrank.numerics import GradCheckReport
 from ccnrank.training import EpochReport, TrainConfig
 from ccnrank.vocab import build_vocab
+from test_models import retype_entry
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +38,11 @@ def gen(tmp_path, n_train=80, n_eval=10, seed=7, out="data"):
     )
     assert rc == EXIT_OK
     return tmp_path / out
+
+
+def listing(root):
+    """Every path under ``root``, relative to it."""
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
 
 def train_tiny(tmp_path, data, arch="dual_lstm", out="model.ckpt", extra=()):
@@ -155,6 +161,13 @@ class TestPrepareVocab:
         assert message in capsys.readouterr().err
         assert not (run_in_tmpdir / "v.txt").exists()
 
+    def test_header_only_csv_is_usage_error_before_any_write(self, run_in_tmpdir, capsys):
+        write_train([], run_in_tmpdir / "train.csv")
+        rc = main(["prepare-vocab", "--train", "train.csv", "--out", "v.txt"])
+        assert rc == EXIT_USAGE
+        assert "train.csv: no instances" in capsys.readouterr().err
+        assert listing(run_in_tmpdir) == ["train.csv"]
+
 
 class TestTrain:
     def test_writes_checkpoint_log_vocab_manifest(self, run_in_tmpdir, capsys):
@@ -234,6 +247,23 @@ class TestTrain:
         assert sorted(p.name for p in run_in_tmpdir.iterdir()) == ["data", "vectors.txt"]
         rc, _ = train_tiny(run_in_tmpdir, data, extra=("--embeddings", str(vectors)))  # fits float64
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("name, write, message", [
+        ("train.csv", lambda path: path.write_text("Context,Utterance,Label\nctx,resp,2\n"),
+         "label must be 0 or 1"),
+        ("train.csv", lambda path: write_train([], path), "no instances"),
+        ("validation.csv", lambda path: write_eval([], path), "no instances"),
+    ], ids=["bad-label", "header-only-train", "header-only-val"])
+    def test_unusable_csv_is_usage_error_before_any_write(self, run_in_tmpdir, capsys, name, write, message):
+        data = gen(run_in_tmpdir)
+        write(data / name)
+        before = listing(run_in_tmpdir)
+        capsys.readouterr()
+        rc, _ = train_tiny(run_in_tmpdir, data)
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{data / name}: " in err and message in err
+        assert listing(run_in_tmpdir) == before
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
     def test_learning_rate_must_be_finite_and_positive(self, run_in_tmpdir, rate, capsys):
@@ -675,6 +705,33 @@ class TestEvaluate:
                    "--eval", str(data / "eval.csv")])
         assert rc == EXIT_USAGE
         assert "sha256 mismatch" in capsys.readouterr().err
+        assert not (run_in_tmpdir / "run-manifest.json").exists()
+
+    def test_checkpoint_entry_in_another_dtype_is_usage_error(self, run_in_tmpdir, capsys):
+        data, ckpt, vocab = self.make_model(run_in_tmpdir)
+        retype_entry(ckpt, "encoder.w_rec", "<f4")  # a float64 model with one float32 entry
+        before = listing(run_in_tmpdir)
+        capsys.readouterr()
+        rc = main(["evaluate", "--models", str(ckpt), "--vocab", str(vocab), "--eval", str(data / "eval.csv")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'encoder.w_rec'" in err and "the config implies" in err
+        assert listing(run_in_tmpdir) == before
+
+    @pytest.mark.parametrize("flag", ["--eval", "--tune-cwf"])
+    def test_header_only_csv_is_usage_error_before_any_write(self, run_in_tmpdir, capsys, flag):
+        data, ckpt, vocab = self.make_model(run_in_tmpdir)
+        empty = run_in_tmpdir / "empty.csv"
+        write_eval([], empty)
+        csvs = {"--eval": data / "eval.csv", "--tune-cwf": data / "validation.csv", flag: empty}
+        before = listing(run_in_tmpdir)
+        capsys.readouterr()
+        rc = main(["evaluate", "--models", str(ckpt), "--vocab", str(vocab),
+                   *(arg for pair in csvs.items() for arg in map(str, pair))])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{empty}: no instances" in err and "evaluating" not in err
+        assert listing(run_in_tmpdir) == before
 
     def test_cwf_scale_and_tune_cwf_are_exclusive(self, run_in_tmpdir):
         data = gen(run_in_tmpdir)

@@ -589,6 +589,35 @@ class TestNonFiniteScores:
                 model.score_pairs([(("hi0", "hi1"), ("hi2",))])
 
 
+def read_checkpoint_file(path):
+    """A saved checkpoint's parsed header and its payload bytes."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12 : 12 + length]), blob[12 + length : -32]
+
+
+def write_checkpoint_file(path, header, payload):
+    """Write ``header`` and ``payload`` as a checkpoint with a valid sha256."""
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = b"CCNRANK1" + struct.pack("<I", len(blob)) + blob + payload
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def retype_entry(path, name, dtype):
+    """Rewrite one manifest entry of a saved checkpoint, and its payload, in
+    ``dtype``, keeping every other entry and a valid sha256."""
+    header, payload = read_checkpoint_file(path)
+    parts, offset = [], 0
+    for entry in header["manifest"]:
+        count = int(np.prod(entry["shape"]))
+        values = np.frombuffer(payload, entry["dtype"], count, offset)
+        offset += values.nbytes
+        if entry["name"] == name:
+            entry["dtype"], values = dtype, values.astype(dtype)
+        parts.append(values.tobytes())
+    write_checkpoint_file(path, header, b"".join(parts))
+
+
 class TestCheckpoint:
     def build(self, arch="ccn_lstm"):
         vocab = tiny_vocab()
@@ -668,17 +697,12 @@ class TestCheckpoint:
             load_checkpoint(path, vocab=other_vocab)
 
     @staticmethod
-    def rewrite_header(path, edit, checksum=True):
-        """Apply ``edit`` to a saved file's header and write a fresh checksum
-        after the payload (none with ``checksum=False``, as version 1 had), so
+    def rewrite_header(path, edit):
+        """Apply ``edit`` to a saved file's header and write a fresh checksum, so
         a test reaches the header checks rather than the checksum's."""
-        blob = path.read_bytes()
-        (length,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12 : 12 + length])
+        header, payload = read_checkpoint_file(path)
         edit(header)
-        new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        body = blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + length : -32]
-        path.write_bytes(body + (hashlib.sha256(body).digest() if checksum else b""))
+        write_checkpoint_file(path, header, payload)
 
     @pytest.mark.parametrize(
         "edit",
@@ -692,10 +716,11 @@ class TestCheckpoint:
             lambda h: h["manifest"].append(h["manifest"][0]),
             lambda h: h.update(manifest=7),
             lambda h: h.update(vocab_hash=[1]),
+            lambda h: h["config"].update(k=1.0),
         ],
         ids=["extra-config-key", "missing-config-key", "bad-config-value", "no-config",
              "entry-without-shape", "negative-shape", "duplicate-entry", "manifest-not-a-list",
-             "hash-not-a-string"],
+             "hash-not-a-string", "float-config-value"],
     )
     def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
         model, vocab = self.build()
@@ -705,30 +730,51 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path, vocab=vocab)
 
-    def test_trainable_flags_of_older_files_ignored(self, tmp_path):
+    def test_version_1_file_refused(self, tmp_path):
+        # version 1 had the same header with format_version 1 and ended at the payloads
         model, vocab = self.build()
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
-        self.rewrite_header(path, lambda h: h.update(
-            format_version=1, manifest=[{**e, "trainable": True} for e in h["manifest"]]), checksum=False)
-        loaded = load_checkpoint(path, vocab=vocab)
-        for name in model.params.names():
-            assert loaded.params[name].data.tobytes() == model.params[name].data.tobytes()
+        path.write_bytes(path.read_bytes()[:-32].replace(b'"format_version":2', b'"format_version":1'))
+        with pytest.raises(CheckpointError, match="format version 1 is not 2"):
+            load_checkpoint(path, vocab=vocab)
 
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_version_1_files_load(self, tmp_path, arch):
-        # version 1: the same header with format_version 1, the payloads, no checksum
-        model, vocab = self.build(arch)
-        path, resaved = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+    def test_entry_in_another_dtype_names_the_parameter(self, tmp_path):
+        model, vocab = self.build("dual_lstm")
+        path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
-        saved = path.read_bytes()
-        self.rewrite_header(path, lambda h: h.update(format_version=1), checksum=False)
-        assert len(path.read_bytes()) == len(saved) - 32
-        loaded = load_checkpoint(path, vocab=vocab)
-        for name in model.params.names():
-            assert loaded.params[name].data.tobytes() == model.params[name].data.tobytes()
-        save_checkpoint(loaded, resaved)  # saving writes version 2
-        assert resaved.read_bytes() == saved
+        retype_entry(path, "encoder.w_rec", "<f4")
+        message = (r"manifest entry 4 is \{'dtype': '<f4', 'name': 'encoder\.w_rec'.*"
+                   r"the config implies \{'dtype': '<f8', 'name': 'encoder\.w_rec'")
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path, vocab=vocab)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [e for e in m if e["name"] != "encoder.w_in"],
+         r"entry 3 is \{.*'encoder\.w_rec'.*\}, the config implies \{.*'encoder\.w_in'"),
+        (lambda m: m + [{"dtype": "<f8", "name": "extra", "shape": [1]}],
+         r"entry 5 is \{.*'extra'.*\}, the config implies nothing"),
+    ], ids=["dropped-entry", "extra-entry"])
+    def test_dropped_or_extra_entry_is_named(self, tmp_path, edit, message):
+        model, vocab = self.build("dual_lstm")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        self.rewrite_header(path, lambda h: h.update(manifest=edit(h["manifest"])))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path, vocab=vocab)
+
+    def test_embedding_table_without_rows_refused(self, tmp_path):
+        # a consistent file, payload and sha256 included, of a model whose table has no rows
+        model, vocab = self.build("dual_lstm")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        header, payload = read_checkpoint_file(path)
+        assert [e["name"] for e in header["manifest"][:2]] == ["bilinear", "embedding_high"]
+        header["manifest"][1]["shape"][0] = 0
+        start, size = model.params["bilinear"].data.nbytes, model.params["embedding_high"].data.nbytes
+        write_checkpoint_file(path, header, payload[:start] + payload[start + size :])
+        with pytest.raises(CheckpointError, match="no row count for 'embedding_high'"):
+            load_checkpoint(path)
 
     def test_pad_row_zero_after_load(self, tmp_path):
         vocab = tiny_vocab()
@@ -744,6 +790,32 @@ class TestCheckpoint:
             loaded = load_checkpoint(path, vocab=vocab)
             for name in tables:
                 assert not loaded.params[name].data[PAD_ID].any(), (arch, name)
+
+
+class TestCheckpointBytes:
+    # sha256 of each tiny seeded model's checkpoint, as the format writes it;
+    # a change to the bytes the format writes changes these
+    PINNED = {
+        ("dual_lstm", "sigmoid", "float64"): "20a9d14aaa6f52d2102d0c4efd608a3fa994c552da568c7c8bea66af2928f9af",
+        ("dual_lstm", "sigmoid", "float32"): "53ea8a9e1a2e3acc9f609e8e05ebf9d2a772e07866c2bcf1513ecaddb7d727a3",
+        ("dual_lstm", "parallel", "float64"): "ab9b0068621ef952595a8808bac57fe74f60d22ee62c8708bbce43b625b2cd93",
+        ("dual_lstm", "parallel", "float32"): "9125d68a6e4aa628035fbbf3bfa1e37e35dc2ea11aa1690a331a5eb6429c4444",
+        ("mfcw_lstm", "sigmoid", "float64"): "1c1eba006a3d4e60b993f2f5c34dba0545506559aa9970390a55f9b80a3265aa",
+        ("mfcw_lstm", "sigmoid", "float32"): "72966ebae130c9d9ae9918b43a7c63e35dd8d3c4a6936369017d835a1a6153e5",
+        ("mfcw_lstm", "parallel", "float64"): "ab3db33715f4fb6a6f2128a27dba3ddf94fad5cc7efa2b0014192d0f6b4f511a",
+        ("mfcw_lstm", "parallel", "float32"): "2c9b254728ee81942c0562e393bbfbd5c9f85719a72e0d83728ee623b8656727",
+        ("ccn_lstm", "sigmoid", "float64"): "7fa9c3e20f3fbacaf002edc784b2feb5760eec73a2a37704dad4a361e93d6bd4",
+        ("ccn_lstm", "sigmoid", "float32"): "df97ad2577a9afbaec1da1ee5010ebed28e2fe396c23c36d0d06c0ef91faecc9",
+        ("ccn_lstm", "parallel", "float64"): "f0164861131859dbb4470d52852ea71f013295d2a2f6847c58920b9e65cd168b",
+        ("ccn_lstm", "parallel", "float32"): "c2c8a6e79cdf16ff8929f0b875526c4a0e5a06fb644d00337f791eab61c1ffbb",
+    }
+
+    @pytest.mark.parametrize("arch, head, precision", list(PINNED))
+    def test_saved_bytes_are_pinned(self, tmp_path, arch, head, precision):
+        model, _ = build_model(tiny_config(arch, ccn_head=head, precision=precision), tiny_vocab())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED[arch, head, precision]
 
 
 def lstm_spec(prefix):

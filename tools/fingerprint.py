@@ -13,12 +13,14 @@ k 1 and 2, max_len 40 and 160, float64 and float32.  At k=2 gradients are clippe
 norm 1e-4, below the first batch's gradient norm of every architecture, so
 the clipping path runs too (k changes nothing else in the two LSTM models).
 Each trains 2 epochs on a synthetic seed-11 corpus (8-turn contexts, 240
-train pairs, embedding and hidden size 8, batch 32); the digest covers every
-trained parameter and ``score_pairs`` over the eval pairs at batch sizes 256
-and 10.  The corpus goes through the CSV files: it is written with
-``write_train``/``write_eval`` to a temporary directory, and the runs use
-what ``load_train``/``load_eval`` read back, so the tokenizer and the loader
-are under the digest too.
+train pairs, embedding and hidden size 8, batch 32).  Files are under the
+digest too, all in one temporary directory.  The corpus is written with
+``write_train``/``write_eval`` and the runs use what ``load_train``/
+``load_eval`` read back, so the tokenizer and the loader count.  Each trained
+model is saved with ``save_checkpoint`` and loaded back with
+``load_checkpoint``, so checkpoints count: the digest covers every parameter
+of the loaded model and its ``score_pairs`` over the eval pairs at batch
+sizes 256 and 10.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ VARIANTS = (("dual_lstm", "sigmoid"), ("mfcw_lstm", "sigmoid"), ("ccn_lstm", "si
             ("ccn_lstm", "parallel"))
 
 
-def fingerprint(arch, head, k, max_len, precision, data):
-    """sha256 of one configuration's trained parameters and eval scores."""
+def fingerprint(arch, head, k, max_len, precision, data, tmp):
+    """sha256 of one configuration's trained, saved and reloaded parameters and eval scores."""
     train_set, eval_set, val_set = data
     config = models.ModelConfig(architecture=arch, embedding_dim=8, hidden_size=8, max_len=max_len,
                                 k=k, seed=11, precision=precision, ccn_head=head)
@@ -46,6 +48,9 @@ def fingerprint(arch, head, k, max_len, precision, data):
     train_config = training.TrainConfig(batch_size=32, learning_rate=0.01, max_epochs=2, seed=11,
                                         validation=val_set, clip_norm=1e-4 if k == 2 else None)
     model, _ = training.train(model, train_set, train_config)
+    path = Path(tmp) / "model.ckpt"
+    models.save_checkpoint(model, path)
+    model = models.load_checkpoint(path, vocab=model.vocab)
     digest = hashlib.sha256()
     for name in sorted(model.params.names()):
         digest.update(name.encode() + model.params[name].data.tobytes())
@@ -55,24 +60,24 @@ def fingerprint(arch, head, k, max_len, precision, data):
     return digest.hexdigest()
 
 
-def read_back(train_set, eval_set, val_set):
+def read_back(tmp, train_set, eval_set, val_set):
     """The splits as the loader reads them from their CSV files."""
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [Path(tmp) / name for name in ("train.csv", "eval.csv", "validation.csv")]
-        corpus.write_train(train_set, paths[0])
-        corpus.write_eval(eval_set, paths[1])
-        corpus.write_eval(val_set, paths[2])
-        return corpus.load_train(paths[0]), corpus.load_eval(paths[1]), corpus.load_eval(paths[2])
+    paths = [Path(tmp) / name for name in ("train.csv", "eval.csv", "validation.csv")]
+    corpus.write_train(train_set, paths[0])
+    corpus.write_eval(eval_set, paths[1])
+    corpus.write_eval(val_set, paths[2])
+    return corpus.load_train(paths[0]), corpus.load_eval(paths[1]), corpus.load_eval(paths[2])
 
 
 def main():
-    data = read_back(*corpus.generate_splits(11, 240, 20, 10, corpus.SyntheticConfig(context_turns=8)))
     total = hashlib.sha256()
-    for (arch, head), k, max_len, precision in itertools.product(
-            VARIANTS, (1, 2), (40, 160), ("float64", "float32")):
-        digest = fingerprint(arch, head, k, max_len, precision, data)
-        total.update(digest.encode())
-        print(f"{arch}\t{head}\tk={k}\tmax_len={max_len}\t{precision}\t{digest}")
+    with tempfile.TemporaryDirectory() as tmp:
+        data = read_back(tmp, *corpus.generate_splits(11, 240, 20, 10, corpus.SyntheticConfig(context_turns=8)))
+        for (arch, head), k, max_len, precision in itertools.product(
+                VARIANTS, (1, 2), (40, 160), ("float64", "float32")):
+            digest = fingerprint(arch, head, k, max_len, precision, data, tmp)
+            total.update(digest.encode())
+            print(f"{arch}\t{head}\tk={k}\tmax_len={max_len}\t{precision}\t{digest}")
     print(total.hexdigest())
 
 

@@ -212,21 +212,33 @@ class SyntheticConfig:
             raise ConfigError("context_turns must be >= 1")
 
 
+def text_lines(path, error):
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file,
+    numbered from 1; a line that is not UTF-8 raises ``error`` naming the
+    file and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.encode("utf-8")  # a byte that did not decode is a lone surrogate now
+            except UnicodeEncodeError:
+                raise error(f"{path}: line {lineno}: not UTF-8") from None
+            yield lineno, line
+
+
 def parse_config_file(path) -> dict:
     """Parse a ``key = value`` text file (one pair per line, # comments); a key may appear once."""
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in values:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-            values[key] = value.strip()
+    for lineno, raw in text_lines(path, ConfigError):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import score_members
 from .numerics import ContractError
 from .vocab import cwf_score
 
@@ -104,8 +105,7 @@ def score_instances(models, instances):
     vocab = models[0].vocab
     n_candidates = len(instances[0].candidates) if instances else 0
     pairs = [(inst.context, cand) for inst in instances for cand in inst.candidates]
-    member_probs = [m.score_pairs(pairs) for m in models]
-    probs = ensemble_scores(member_probs).reshape(len(instances), n_candidates)
+    probs = ensemble_scores(score_members(models, pairs)).reshape(len(instances), n_candidates)
     scored = []
     for i, inst in enumerate(instances):
         cwf = np.array([cwf_score(inst.context, cand, vocab) for cand in inst.candidates])

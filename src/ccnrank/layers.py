@@ -4,10 +4,11 @@ The sequence operations take batches only: a sequence is a row, e.g. an
 [B x L] id matrix, embedded to [B x N x L] and encoded to [B x H], and a
 lone sequence is a one-row batch.  ``gather_rows`` copies rows of a batch.
 All of them run on the numerics tape, so gradients flow to every parameter
-they touch.  The module depends on ``numerics`` alone: lookups take plain
-id arrays, which ``models.prepare_pairs`` builds, and every parameter is a
-plain ``Tensor`` argument, which ``models.forward_batch`` looks up by the
-names ``models.BRANCHES`` gives.
+they touch.  The module depends on ``numerics`` (and on ``corpus`` only to
+read a text file): lookups take plain id arrays, which
+``models.prepare_pairs`` builds, and every parameter is a plain ``Tensor``
+argument, which ``models.forward_batch`` looks up by the names
+``models.BRANCHES`` gives.
 
 Conventions baked in here:
   * embedding row 0 is the padding vector: the caller keeps it all-zero
@@ -15,11 +16,15 @@ Conventions baked in here:
     gradient into it, so it stays zero through training;
   * the LSTM cell uses input/forget/candidate/output gate blocks in that
     order, forget bias initialized to 1;
-  * ``lstm_encode`` is one tape op with a hand-written backward through
-    time (one input-projection matmul for all steps, then the recurrence in
-    plain numpy), not a chain of per-step ops, so its cost does not grow
-    with the tape, and a sequence encodes to the same bits alone as in any
-    batch;
+  * there is one recurrence, ``lstm_encode_stack``: E encoders, each with
+    its own weights, in one time loop (a stacked ``[E x B x H] @
+    [E x H x 4H]`` product and elementwise ops over all E*B rows), with a
+    hand-written backward through time per encoder.  ``lstm_encode`` is its
+    E=1 case.  Each encoder is one tape op, not a chain of per-step ops, so
+    its cost does not grow with the tape, and a sequence encodes to the same
+    bits alone, in any batch and in any stack.  Rows update in place until
+    the first step at which a real row ends; only from there on does a
+    per-step mask carry ended rows forward;
   * cross-convolution pools the k largest inner products per response word
     over context positions, with padded context columns masked out so they
     can never win the pooling.  The grid covers only the columns it is given
@@ -32,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
+from .corpus import text_lines
 from .numerics import ContractError, ShapeError, Tensor
 
 
@@ -62,32 +68,32 @@ def init_lstm_arrays(input_dim, hidden_size, rng, limit=0.08):
 def load_word_vectors(path, dim=None, dtype=np.float64) -> dict:
     """Read a text embedding file: one ``word v1 v2 ... vN`` line per word.
 
-    Vectors are returned as ``dtype``.  A wrong value count, a value that is
-    not a number, a non-finite value and a value beyond ``dtype``'s range
-    (e.g. 1e39 for float32) raise ContractError naming the file and line.
+    Vectors are returned as ``dtype``.  A line that is not UTF-8, a wrong
+    value count, a value that is not a number, a non-finite value and a
+    value beyond ``dtype``'s range (e.g. 1e39 for float32) raise
+    ContractError naming the file and line.
     """
     vectors = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            parts = raw.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                continue
-            word, values = parts[0], parts[1:]
-            if dim is not None and len(values) != dim:
-                raise ContractError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(values)}"
-                )
-            try:
-                vector = np.asarray(values, dtype=np.float64)
-            except ValueError as err:
-                raise ContractError(f"{path}: line {lineno}: {err}") from None
-            if not np.isfinite(vector).all():
-                raise ContractError(f"{path}: line {lineno}: non-finite value for {word!r}")
-            with np.errstate(over="ignore"):
-                vector = vector.astype(dtype)
-            if not np.isfinite(vector).all():
-                raise ContractError(f"{path}: line {lineno}: vector for {word!r} overflows {vector.dtype}")
-            vectors[word] = vector
+    for lineno, raw in text_lines(path, ContractError):
+        parts = raw.rstrip("\n").split(" ")
+        if len(parts) < 2:
+            continue
+        word, values = parts[0], parts[1:]
+        if dim is not None and len(values) != dim:
+            raise ContractError(
+                f"{path}: line {lineno}: expected {dim} values, got {len(values)}"
+            )
+        try:
+            vector = np.asarray(values, dtype=np.float64)
+        except ValueError as err:
+            raise ContractError(f"{path}: line {lineno}: {err}") from None
+        if not np.isfinite(vector).all():
+            raise ContractError(f"{path}: line {lineno}: non-finite value for {word!r}")
+        with np.errstate(over="ignore"):
+            vector = vector.astype(dtype)
+        if not np.isfinite(vector).all():
+            raise ContractError(f"{path}: line {lineno}: vector for {word!r} overflows {vector.dtype}")
+        vectors[word] = vector
     return vectors
 
 
@@ -173,37 +179,62 @@ def lstm_encode(x: Tensor, lengths, w_in: Tensor, w_rec: Tensor, bias: Tensor) -
     stacking the input, forget, candidate and output gate blocks.
     Zero-length sequences encode to the zero vector; padding beyond the true
     length never affects the output and receives exactly zero gradient.  The
-    result has ``x``'s dtype.
-
-    The whole recurrence is one tape op with a hand-written backward
-    (backpropagation through time): one matmul projects the inputs of every
-    step, the recurrence runs in plain numpy with sigmoid computed as
-    0.5 * (1 + tanh(z / 2)), and a row whose sequence has ended carries its
-    state forward unchanged.  Activations are kept only when the tape
-    records the op, so the no_grad serving path stores none.
+    result has ``x``'s dtype.  This is ``lstm_encode_stack`` on one job.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"lstm_encode expects a [B x N x L] batch, got shape {x.shape}")
-    data = x.data
-    lengths = np.asarray(lengths, dtype=np.int64)
-    batch, n_in, max_cols = data.shape
-    if lengths.shape != (batch,):
-        raise ContractError(f"expected {batch} lengths, got shape {lengths.shape}")
-    if lengths.max(initial=0) > max_cols:
-        raise ContractError("a length exceeds the sequence length")
+    return lstm_encode_stack([(x, lengths, w_in, w_rec, bias)])[0]
+
+
+def lstm_encode_stack(jobs) -> list:
+    """``lstm_encode`` of E jobs ``(x, lengths, w_in, w_rec, bias)``, each
+    with its own weights, in one time loop; returns the E encodings.
+
+    The jobs must share their row count B, step count (longest length),
+    input and hidden sizes and dtype.  Each step runs one stacked product
+    ``[E x B x H] @ [E x H x 4H]`` (one gemm per job) and each elementwise op
+    once over all E*B rows, so a job encodes to the same bits as alone, in
+    fewer numpy calls than E separate loops.
+
+    The recurrence has a hand-written backward (backpropagation through
+    time), and each job is its own tape op with its own backward over its
+    rows, so a stacked call gives the gradients of separate calls.  One
+    matmul per job projects the inputs of every step; the recurrence runs in
+    plain numpy with sigmoid computed as 0.5 * (1 + tanh(z / 2)).  Up to the
+    first step at which a real row has ended every row updates in place;
+    from there on a row whose sequence has ended carries its state forward
+    unchanged, and the backward skips the masks over the same steps.
+    Activations are kept only when the tape records an op, so the no_grad
+    serving path stores none.
+    """
+    x0, _, _, w_rec0, _ = jobs[0]
+    if x0.ndim != 3:
+        raise ShapeError(f"lstm_encode expects a [B x N x L] batch, got shape {x0.shape}")
+    batch, n_in = x0.shape[:2]
+    dtype, hidden = x0.dtype, w_rec0.shape[1]
+    all_lengths = []
+    for x, lengths, _, w_rec, _ in jobs:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if x.ndim != 3 or x.shape[:2] != (batch, n_in) or x.dtype != dtype or w_rec.shape[1] != hidden:
+            raise ShapeError(f"stacked LSTM jobs must share rows, sizes and dtype: {x.shape} {x.dtype}, "
+                             f"hidden {w_rec.shape[1]} against {x0.shape} {dtype}, hidden {hidden}")
+        if lengths.shape != (batch,):
+            raise ContractError(f"expected {batch} lengths, got shape {lengths.shape}")
+        if lengths.max(initial=0) > x.shape[2]:
+            raise ContractError("a length exceeds the sequence length")
+        all_lengths.append(lengths)
+    steps = int(all_lengths[0].max(initial=0))
+    if any(lengths.max(initial=0) != steps for lengths in all_lengths):
+        raise ContractError("stacked LSTM jobs must share their longest length")
+    datas = [x.data for x, *_ in jobs]
     rows = batch
     if batch == 1:
         # numpy sends one-row products to gemv, which rounds unlike the gemm a
-        # batch gets; a zero-length second row keeps a lone sequence's bits
-        # equal to its bits in any batch
-        data = np.concatenate([data, np.zeros_like(data)])
-        lengths = np.append(lengths, 0)
+        # batch gets; a second row of zeros keeps a lone sequence's bits equal
+        # to its bits in any batch.  It runs unmasked and its output is dropped.
+        datas = [np.concatenate([data, np.zeros_like(data)]) for data in datas]
+        all_lengths = [np.append(lengths, steps) for lengths in all_lengths]
         rows = 2
-    dtype = data.dtype
-    hidden = w_rec.shape[1]
+    stack = len(jobs)
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))  # gate blocks
-    parents = (x, w_in, w_rec, bias)
-    w_in, w_rec, bias = (t.data.astype(dtype, copy=False) for t in (w_in, w_rec, bias))
     # With the weight rows scaled by ``half`` (exact: a power of two),
     # tanh(pre-activation) * half + shift is sigmoid(z) = 0.5 * (1 + tanh(z / 2))
     # on the input, forget and output blocks and tanh(z) on the candidate block.
@@ -211,29 +242,38 @@ def lstm_encode(x: Tensor, lengths, w_in: Tensor, w_rec: Tensor, bias: Tensor) -
     half[g_] = 1.0
     shift = np.full(4 * hidden, 0.5, dtype=dtype)
     shift[g_] = 0.0
-    # Both products take contiguous [in x 4H] weights: with a transposed view,
-    # OpenBLAS rounds products of fewer than ten rows unlike longer ones, and a
-    # row must encode to the same bits in any batch.
-    w_in_half_t = np.ascontiguousarray((w_in * half[:, None]).T)  # [N x 4H]
-    w_rec_half_t = np.ascontiguousarray((w_rec * half[:, None]).T)  # [H x 4H]
+    weights, inputs, projections, w_rec_half_t = [], [], [], []
+    for data, (_, _, w_in, w_rec, bias) in zip(datas, jobs):
+        w_in, w_rec, bias = (t.data.astype(dtype, copy=False) for t in (w_in, w_rec, bias))
+        weights.append((w_in, w_rec))
+        xs = data[:, :, :steps].transpose(2, 0, 1).reshape(steps * rows, n_in)  # step-major rows
+        inputs.append(xs)
+        # Both products take contiguous [in x 4H] weights: with a transposed
+        # view, OpenBLAS rounds products of fewer than ten rows unlike longer
+        # ones, and a row must encode to the same bits in any batch.
+        gates = xs @ np.ascontiguousarray((w_in * half[:, None]).T)  # [T*B x 4H]
+        gates += bias * half
+        projections.append(gates.reshape(steps, rows, 4 * hidden))
+        w_rec_half_t.append(np.ascontiguousarray((w_rec * half[:, None]).T))  # [H x 4H]
+    # [T x E*B x 4H], job e's rows at e*B: each step's slice becomes its gates
+    gates_seq = projections[0] if stack == 1 else np.concatenate(projections, axis=1)
+    w_rec_half_t = np.stack(w_rec_half_t)  # [E x H x 4H]
     # full-shape copies: in-place ops on equal shapes skip numpy's broadcasting
-    half_rows, shift_rows = (np.broadcast_to(v, (rows, 4 * hidden)).copy() for v in (half, shift))
-
-    steps = int(lengths.max(initial=0))
-    xs = data[:, :, :steps].transpose(2, 0, 1).reshape(steps * rows, n_in)  # step-major rows
-    gates_seq = xs @ w_in_half_t
-    gates_seq += bias * half
-    gates_seq = gates_seq.reshape(steps, rows, 4 * hidden)  # each step's slice becomes its gates
-    active = (lengths > np.arange(steps)[:, None])[:, :, None]  # [T x B x 1]
-    keep = nm.records(parents)
+    half_rows, shift_rows = (np.broadcast_to(v, (stack * rows, 4 * hidden)).copy() for v in (half, shift))
+    all_lengths = np.concatenate(all_lengths)
+    active = (all_lengths > np.arange(steps)[:, None])[:, :, None]  # [T x E*B x 1]
+    unmasked = int(all_lengths.min())  # steps before the first real row ends
+    keep = any(nm.records((x, *params)) for x, _, *params in jobs)
     if keep:  # the state entering each step, and tanh of each step's new cell
-        h_seq, c_seq, tanh_c_seq = (np.empty((steps, rows, hidden), dtype=dtype) for _ in range(3))
-    h = np.zeros((rows, hidden), dtype=dtype)
-    c = np.zeros((rows, hidden), dtype=dtype)
-    rec = np.empty((rows, 4 * hidden), dtype=dtype)
+        h_seq, c_seq, tanh_c_seq = (np.empty((steps, stack * rows, hidden), dtype=dtype) for _ in range(3))
+    h = np.zeros((stack * rows, hidden), dtype=dtype)
+    c = np.zeros((stack * rows, hidden), dtype=dtype)
+    rec = np.empty((stack * rows, 4 * hidden), dtype=dtype)
+    h_jobs, rec_jobs = h.reshape(stack, rows, hidden), rec.reshape(stack, rows, 4 * hidden)  # views
     for t in range(steps):
         gates = gates_seq[t]
-        gates += np.matmul(h, w_rec_half_t, out=rec)
+        np.matmul(h_jobs, w_rec_half_t, out=rec_jobs)
+        gates += rec
         np.tanh(gates, out=gates)
         gates *= half_rows
         gates += shift_rows
@@ -241,40 +281,52 @@ def lstm_encode(x: Tensor, lengths, w_in: Tensor, w_rec: Tensor, bias: Tensor) -
         tanh_c = np.tanh(c_new)
         if keep:
             h_seq[t], c_seq[t], tanh_c_seq[t] = h, c, tanh_c
-        c = np.where(active[t], c_new, c)
-        h = np.where(active[t], gates[:, o_] * tanh_c, h)
+        if t < unmasked:
+            c = c_new
+            np.multiply(gates[:, o_], tanh_c, out=h)
+        else:
+            c = np.where(active[t], c_new, c)
+            np.copyto(h, gates[:, o_] * tanh_c, where=active[t])
 
-    def backward_fn(g):
-        d_pre = np.empty_like(gates_seq)
-        slope = np.empty((rows, 4 * hidden), dtype=dtype)
-        candidate = 1.0 - 2.0 * shift  # 1 on the tanh block, 0 on the sigmoid blocks
-        dh = np.zeros((rows, hidden), dtype=g.dtype)
-        dh[:batch] = g.reshape(batch, hidden)
-        dc = np.zeros_like(dh)  # stays zero on the rows of ended sequences: only h is output
-        for t in reversed(range(steps)):
-            on, gates, tanh_c = active[t], gates_seq[t], tanh_c_seq[t]
-            dh_t = np.where(on, dh, 0.0)  # an ended row passes dh straight through
-            dc_t = dc + dh_t * gates[:, o_] * (1.0 - tanh_c * tanh_c)
-            d = d_pre[t]
-            np.multiply(dc_t, gates[:, g_], out=d[:, i_])
-            np.multiply(dc_t, c_seq[t], out=d[:, f_])
-            np.multiply(dc_t, gates[:, i_], out=d[:, g_])
-            np.multiply(dh_t, tanh_c, out=d[:, o_])
-            # d gate / d pre-activation: s (1 - s) for a sigmoid, (1 - a)(1 + a) for tanh
-            d *= np.subtract(1.0, gates, out=slope)
-            d *= np.add(gates, candidate, out=slope)
-            dh = np.where(on, d @ w_rec, dh)
-            dc = dc_t * gates[:, f_]
-        d_rows = d_pre.reshape(steps * rows, 4 * hidden)
-        dx = None
-        if x.requires_grad:
-            dx = np.zeros(data.shape, dtype=dtype)
-            dx[:, :, :steps] = (d_rows @ w_in).reshape(steps, rows, n_in).transpose(1, 2, 0)
-            dx = dx[:batch].reshape(x.shape)
-        d_w_rec = d_rows.T @ h_seq.reshape(steps * rows, hidden)
-        return dx, d_rows.T @ xs, d_w_rec, d_rows.sum(axis=0)
+    def backward_for(job_rows, x, xs, w_in, w_rec):
+        def backward_fn(g):
+            d_pre = np.empty((steps, rows, 4 * hidden), dtype=dtype)
+            slope = np.empty((rows, 4 * hidden), dtype=dtype)
+            candidate = 1.0 - 2.0 * shift  # 1 on the tanh block, 0 on the sigmoid blocks
+            dh = np.zeros((rows, hidden), dtype=g.dtype)
+            dh[:batch] = g.reshape(batch, hidden)
+            dc = np.zeros_like(dh)  # stays zero on the rows of ended sequences: only h is output
+            for t in reversed(range(steps)):
+                on, gates, tanh_c = active[t, job_rows], gates_seq[t, job_rows], tanh_c_seq[t, job_rows]
+                dh_t = dh if t < unmasked else np.where(on, dh, 0.0)  # an ended row passes dh on
+                dc_t = dc + dh_t * gates[:, o_] * (1.0 - tanh_c * tanh_c)
+                d = d_pre[t]
+                np.multiply(dc_t, gates[:, g_], out=d[:, i_])
+                np.multiply(dc_t, c_seq[t, job_rows], out=d[:, f_])
+                np.multiply(dc_t, gates[:, i_], out=d[:, g_])
+                np.multiply(dh_t, tanh_c, out=d[:, o_])
+                # d gate / d pre-activation: s (1 - s) for a sigmoid, (1 - a)(1 + a) for tanh
+                d *= np.subtract(1.0, gates, out=slope)
+                d *= np.add(gates, candidate, out=slope)
+                dh = d @ w_rec if t < unmasked else np.where(on, d @ w_rec, dh)
+                dc = dc_t * gates[:, f_]
+            d_rows = d_pre.reshape(steps * rows, 4 * hidden)
+            dx = None
+            if x.requires_grad:
+                dx = np.zeros((rows, n_in, x.shape[2]), dtype=dtype)
+                dx[:, :, :steps] = (d_rows @ w_in).reshape(steps, rows, n_in).transpose(1, 2, 0)
+                dx = dx[:batch].reshape(x.shape)
+            d_w_rec = d_rows.T @ h_seq[:, job_rows].reshape(steps * rows, hidden)
+            return dx, d_rows.T @ xs, d_w_rec, d_rows.sum(axis=0)
 
-    return nm.custom_op(h[:batch], parents, backward_fn)
+        return backward_fn
+
+    encodings = []
+    for e, ((x, _, *params), xs, w) in enumerate(zip(jobs, inputs, weights)):
+        job_rows = slice(e * rows, (e + 1) * rows)
+        encodings.append(nm.custom_op(h[e * rows : e * rows + batch], (x, *params),
+                                      backward_for(job_rows, x, xs, *w)))
+    return encodings
 
 
 def bilinear_score(c: Tensor, r: Tensor, weight: Tensor) -> Tensor:

@@ -32,6 +32,19 @@ encodings back to the pairs (``layers.gather_rows``, whose backward adds the
 pairs' gradients).  The cross-convolution grid is per pair, so that branch
 takes each pair's context ids.
 
+A batch's forward is two steps: ``_encoder_jobs`` lists the LSTM encodings
+its branches need (embedded ids, lengths and weights per branch and side),
+and ``_branch_scores`` scores the batch from their outputs.
+``forward_batch`` (training and gradient checks) runs each job alone.
+``score_members`` is the one tape-free scoring path, for one model
+(``RankingModel.score_pairs``) or an ensemble
+(``evaluation.score_instances``): within each 256-pair slice, the jobs of
+all members that share rows, steps, sizes and dtype run as one
+``layers.lstm_encode_stack``, if they have at most ``_STACK_ROWS`` (16)
+rows.  A request's one-row contexts and ten-row candidates stack; training
+batches, validation and ``evaluate`` slices do not, since stacking gains
+little at that size and keeps a larger transient.
+
 Checkpoints are a binary container: 8-byte magic ``CCNRANK1``, a 4-byte
 little-endian header length, a canonical-JSON header (format version 2,
 model config, vocabulary hash, parameter manifest), the raw little-endian
@@ -66,6 +79,7 @@ from .layers import (
     init_embedding_matrix,
     init_lstm_arrays,
     lstm_encode,
+    lstm_encode_stack,
 )
 from .numerics import ContractError, NonFiniteError, ParameterSet, Tensor
 from .vocab import FrequencySplit, Vocabulary
@@ -192,23 +206,9 @@ class RankingModel:
     # scoring ----------------------------------------------------------------
 
     def score_pairs(self, pairs, batch_size=256) -> np.ndarray:
-        """Probabilities for (context tokens, response tokens) pairs, no tape.
-
-        Raises NonFiniteError when a probability is NaN (e.g. NaN weights).
-        """
-        prepared = prepare_pairs(self, pairs)
-        out = np.empty(len(pairs))
-        with nm.no_grad():
-            for start in range(0, len(pairs), batch_size):
-                rows = slice(start, start + batch_size)
-                out[rows] = forward_batch(self, prepared, rows).data
-        finite = np.isfinite(out)
-        if not finite.all():
-            raise NonFiniteError(
-                f"{self.config.architecture}: {int((~finite).sum())} of {len(out)} pair "
-                "probabilities are not finite"
-            )
-        return out
+        """Probabilities for (context tokens, response tokens) pairs, no tape:
+        ``score_members`` of this model alone."""
+        return score_members([self], pairs, batch_size)[0]
 
 
 def _embedding_names(config: ModelConfig):
@@ -348,29 +348,105 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
 def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Tensor:
     """Probabilities for the prepared rows; differentiable w.r.t. model parameters."""
     cols, context_of = prepared.select(rows)
+    encoded = {key: lstm_encode(*job) for key, job in _encoder_jobs(model, cols).items()}
+    return _branch_scores(model, cols, context_of, encoded)
+
+
+def _encoder_jobs(model: RankingModel, cols):
+    """The batch's LSTM encodings to run: (branch index, side) ->
+    ``lstm_encode`` arguments, side ``ctx`` (one row per distinct context),
+    ``resp`` or ``common``."""
+    p = model.params
+    jobs = {}
+    for i, (kind, band, table, encoder, _) in enumerate(BRANCHES[model.config.architecture]):
+        if encoder is None:
+            continue
+        lstm = [p[name] for name in _lstm_names(encoder)]
+        for side in ("common",) if kind == COMMON else ("ctx", "resp"):
+            ids, lengths = cols[f"{side}_{band}"]
+            jobs[i, side] = (embed_lookup(ids, p[table]), lengths, *lstm)
+    return jobs
+
+
+def _branch_scores(model: RankingModel, cols, context_of, encoded) -> Tensor:
+    """Probabilities of the batch from its encodings (keyed as ``_encoder_jobs``)."""
     p = model.params
     branches = BRANCHES[model.config.architecture]
     total = None
-    for i, (kind, band, table, encoder, head) in enumerate(branches):
-        emb = p[table]
-        lstm = [p[name] for name in _lstm_names(encoder)] if encoder else None
+    for i, (kind, band, table, _, head) in enumerate(branches):
         if kind == COMMON:
-            ids, lengths = cols[f"common_{band}"]
-            score = dense_score(lstm_encode(embed_lookup(ids, emb), lengths, *lstm), p[head])
-        else:
+            score = dense_score(encoded[i, "common"], p[head])
+        elif kind == PAIR:
+            score = bilinear_score(gather_rows(encoded[i, "ctx"], context_of), encoded[i, "resp"], p[head])
+        else:  # the grid is per pair: each pair takes its context's ids
             (ctx_ids, ctx_len), (resp_ids, resp_len) = cols[f"ctx_{band}"], cols[f"resp_{band}"]
-            if kind == PAIR:
-                c = lstm_encode(embed_lookup(ctx_ids, emb), ctx_len, *lstm)  # one row per context
-                r = lstm_encode(embed_lookup(resp_ids, emb), resp_len, *lstm)
-                score = bilinear_score(gather_rows(c, context_of), r, p[head])
-            else:  # the grid is per pair: each pair takes its context's ids
-                heads = [(p[weight], p[bias]) for weight, bias in _dense_head_names(model.config, head)]
-                score = cross_convolution(embed_lookup(ctx_ids[context_of], emb), embed_lookup(resp_ids, emb),
-                                          model.config.k, heads, ctx_len[context_of], resp_len)
+            heads = [(p[weight], p[bias]) for weight, bias in _dense_head_names(model.config, head)]
+            score = cross_convolution(embed_lookup(ctx_ids[context_of], p[table]), embed_lookup(resp_ids, p[table]),
+                                      model.config.k, heads, ctx_len[context_of], resp_len)
         if len(branches) > 1:  # weighted sum of the raw branch scores
             score = nm.mul(nm.narrow(p["branch_weights"], 0, i, 1), score)
         total = score if total is None else nm.add(total, score)
     return nm.sigmoid(total)
+
+
+# Encoder jobs of at most this many rows run stacked.  Measured on a 2-core
+# VM with OpenBLAS at one thread (E=3, T=70, no tape, one timing each), the
+# stacked time over separate time was 0.37 at 1 row, 0.41 at 2, 0.46 at 4,
+# 0.57 at 8, 0.74 at 16, 0.88 at 26 and 1.01 at 64.  Stacking every 256-pair
+# ``evaluate`` slice gained no speed, while its tracemalloc peak on the
+# train_short bench rose from 6.2 to 22.0 MB, above a training epoch's
+# 17.4 MB.  So a request's context and candidates stack, and training,
+# validation and ``evaluate`` slices do not.
+_STACK_ROWS = 16
+
+
+def score_members(members, pairs, batch_size=256) -> np.ndarray:
+    """[members x pairs] probabilities of every member for (context tokens,
+    response tokens) pairs, no tape.
+
+    Each member scores ``batch_size``-pair slices as ``forward_batch`` does,
+    but within a slice the encoder jobs of all members that have at most
+    ``_STACK_ROWS`` rows and share rows, steps, sizes and dtype run as one
+    ``lstm_encode_stack``; every probability keeps its bits.  Raises
+    NonFiniteError when a probability is NaN (e.g. NaN weights).
+    """
+    prepared = [prepare_pairs(m, pairs) for m in members]
+    out = np.empty((len(members), len(pairs)))
+    with nm.no_grad():
+        for start in range(0, len(pairs), batch_size):
+            rows = slice(start, start + batch_size)
+            selected = [batch.select(rows) for batch in prepared]
+            jobs = [_encoder_jobs(m, cols) for m, (cols, _) in zip(members, selected)]
+            for i, (m, (cols, context_of), encoded) in enumerate(zip(members, selected, _encode(jobs))):
+                out[i, rows] = _branch_scores(m, cols, context_of, encoded).data
+    for m, probs in zip(members, out):
+        finite = np.isfinite(probs)
+        if not finite.all():
+            raise NonFiniteError(
+                f"{m.config.architecture}: {int((~finite).sum())} of {len(probs)} pair "
+                "probabilities are not finite"
+            )
+    return out
+
+
+def _encode(jobs):
+    """Each member's encodings of its ``_encoder_jobs``: the jobs of at most
+    ``_STACK_ROWS`` rows that share rows, steps, sizes and dtype in one
+    stack, every other job alone."""
+    groups = {}
+    for m, member_jobs in enumerate(jobs):
+        for key, (x, lengths, _, w_rec, _) in member_jobs.items():
+            shape = (*x.shape[:2], int(lengths.max(initial=0)), w_rec.shape[1], x.dtype)
+            groups.setdefault(shape if x.shape[0] <= _STACK_ROWS else (m, key), []).append((m, key))
+    encoded = [{} for _ in jobs]
+    for group in groups.values():
+        if len(group) == 1:
+            (m, key), = group
+            encoded[m][key] = lstm_encode(*jobs[m][key])
+        else:
+            for (m, key), h in zip(group, lstm_encode_stack([jobs[m][key] for m, key in group])):
+                encoded[m][key] = h
+    return encoded
 
 
 # -- persistence ----------------------------------------------------------------
@@ -385,9 +461,18 @@ def _manifest(config: ModelConfig, vocab_rows):
 
 
 def save_checkpoint(model: RankingModel, path):
-    """Write the model bit-exactly; save -> load -> save is byte-identical."""
+    """Write the model bit-exactly; save -> load -> save is byte-identical.
+
+    A parameter whose shape or dtype is not the one the manifest gives it
+    raises CheckpointError naming the parameter, before the file is opened.
+    """
     config = model.config
     manifest = _manifest(config, model.params[_embedding_names(config)[0]].shape[0])
+    for e in manifest:
+        data = model.params[e["name"]].data
+        if list(data.shape) != e["shape"] or data.dtype != np.dtype(e["dtype"]):
+            raise CheckpointError(f"{path}: parameter {e['name']!r} is {data.dtype} {list(data.shape)}, "
+                                  f"the config implies {np.dtype(e['dtype'])} {e['shape']}")
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(config),

@@ -27,7 +27,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .corpus import MARKER_TOKENS
+from .corpus import MARKER_TOKENS, text_lines
 from .numerics import ContractError
 
 PAD_ID = 0
@@ -77,24 +77,24 @@ def save_vocab(vocab: Vocabulary, path):
 
 
 def load_vocab(path) -> Vocabulary:
-    """Read a ``save_vocab`` file; a malformed line, a count that is not a
-    non-negative integer or a repeated word raises ContractError."""
+    """Read a ``save_vocab`` file; a line that is not UTF-8, a malformed
+    line, a count that is not a non-negative integer or a repeated word
+    raises ContractError."""
     counts = {}
     ordered = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            word, sep, count = line.partition("\t")
-            if not sep or not word:
-                raise ContractError(f"{path}: line {lineno}: expected 'word<TAB>count'")
-            if not (count.isascii() and count.isdigit()):
-                raise ContractError(f"{path}: line {lineno}: count {count!r} is not a non-negative integer")
-            if word in counts:
-                raise ContractError(f"{path}: line {lineno}: duplicate word {word!r}")
-            counts[word] = int(count)
-            ordered.append(word)
+    for lineno, raw in text_lines(path, ContractError):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        word, sep, count = line.partition("\t")
+        if not sep or not word:
+            raise ContractError(f"{path}: line {lineno}: expected 'word<TAB>count'")
+        if not (count.isascii() and count.isdigit()):
+            raise ContractError(f"{path}: line {lineno}: count {count!r} is not a non-negative integer")
+        if word in counts:
+            raise ContractError(f"{path}: line {lineno}: duplicate word {word!r}")
+        counts[word] = int(count)
+        ordered.append(word)
     word_to_id = {w: i + 2 for i, w in enumerate(ordered)}
     return Vocabulary(word_to_id=word_to_id, counts=counts, words_by_id=tuple(ordered))
 

@@ -113,6 +113,23 @@ class TestGenSynthetic:
         )
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--vocab", b"hello\t3\nw\xff\t2\n"),
+        ("--embeddings", b"hello 0.25 0.25 0.25 0.25\nw\xff 0.25 0.25 0.25 0.25\n"),
+        ("--config", b"seed = 1\nepochs = \xff\n"),
+    ], ids=["vocab", "embeddings", "config"])
+    def test_non_utf8_input_is_usage_error(self, run_in_tmpdir, flag, text, capsys):
+        data = gen(run_in_tmpdir)
+        path = run_in_tmpdir / "input.txt"
+        path.write_bytes(text)
+        before = listing(run_in_tmpdir)
+        capsys.readouterr()
+        rc, _ = train_tiny(run_in_tmpdir, data, extra=(flag, str(path)))
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{path}: line 2: not UTF-8" in err and "Traceback" not in err
+        assert listing(run_in_tmpdir) == before
+
     def test_non_numeric_config_value_is_usage_error(self, run_in_tmpdir, capsys):
         cfg = run_in_tmpdir / "syn.cfg"
         cfg.write_text("topics = x\n")

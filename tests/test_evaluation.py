@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccnrank import evaluation
 from ccnrank.corpus import generate_splits
 from ccnrank.evaluation import (
     DEFAULT_SCALE_GRID,
@@ -148,7 +149,8 @@ class TestTuneScale:
 
 
 class FixedScoreModel:
-    """Test double exposing the RankingModel scoring surface."""
+    """Test double for a RankingModel's scores: ``TestEvaluate`` has
+    ``evaluation.score_members`` call each member's ``score_pairs``."""
 
     def __init__(self, vocab, score_fn):
         self.vocab = vocab
@@ -160,6 +162,11 @@ class FixedScoreModel:
 
 
 class TestEvaluate:
+    @pytest.fixture(autouse=True)
+    def score_doubles(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "score_members",
+                            lambda members, pairs: np.array([m.score_pairs(pairs) for m in members]))
+
     def setup_method(self):
         self.train, self.evals, _ = generate_splits(17, 400, 100, 0)
         self.vocab = build_vocab(self.train)

@@ -18,6 +18,7 @@ from ccnrank.layers import (
     kmax_pool,
     load_word_vectors,
     lstm_encode,
+    lstm_encode_stack,
 )
 from ccnrank.numerics import ContractError, ParameterSet, ShapeError, Tensor, backward, finite_diff_check
 
@@ -254,6 +255,67 @@ class TestLstmEncode:
         assert report.passed, report
         backward(loss())
         assert x.grad.shape == (1, 3, 5) and not x.grad[:, :, 4].any()
+
+
+class TestLstmEncodeStack:
+    """E jobs in one stacked recurrence give the outputs and gradients of E
+    separate ``lstm_encode`` calls, bit for bit."""
+
+    @staticmethod
+    def jobs(rng, stack, rows, dim, dtype, steps=9):
+        made = []
+        for _ in range(stack):
+            ps = ParameterSet()
+            for name, a in zip(("w_in", "w_rec", "bias"), init_lstm_arrays(dim, dim, rng, limit=0.5)):
+                ps.add(name, a.astype(dtype))
+            ps.add("x", rng.normal(size=(rows, dim, steps + 2)).astype(dtype))
+            lengths = rng.integers(0, steps + 1, size=rows)
+            lengths[0] = steps  # the jobs share their longest length
+            if rows > 1:
+                lengths[1] = 0
+            made.append((ps, lengths, rng.normal(size=(rows, dim)).astype(dtype)))
+        return made
+
+    @staticmethod
+    def run(made, stacked):
+        args = [(ps["x"], lengths, ps["w_in"], ps["w_rec"], ps["bias"]) for ps, lengths, _ in made]
+        outs = lstm_encode_stack(args) if stacked else [lstm_encode(*a) for a in args]
+        for out, (_, _, weights) in zip(outs, made):
+            backward(nm.tsum(nm.tsum(nm.mul(out, Tensor(weights)), axis=1)))
+        return [out.data for out in outs], [{n: ps[n].grad for n in ps.names()} for ps, _, _ in made]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dim", [8, 32])
+    @pytest.mark.parametrize("rows", [1, 2, 10, 16])
+    @pytest.mark.parametrize("stack", [2, 3, 4])
+    def test_stack_equals_separate_calls(self, stack, rows, dim, dtype):
+        seed = [stack, rows, dim, np.dtype(dtype).itemsize]
+        outs, grads = self.run(self.jobs(np.random.default_rng(seed), stack, rows, dim, dtype), stacked=True)
+        want_outs, want_grads = self.run(self.jobs(np.random.default_rng(seed), stack, rows, dim, dtype),
+                                         stacked=False)
+        for out, want in zip(outs, want_outs):
+            assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        for got, want in zip(grads, want_grads):
+            assert {n: g.tobytes() for n, g in got.items()} == {n: g.tobytes() for n, g in want.items()}
+
+    def test_no_grad_stack_equals_taped_stack(self):
+        made = self.jobs(np.random.default_rng(3), 3, 4, 8, np.float64)
+        args = [(ps["x"], lengths, ps["w_in"], ps["w_rec"], ps["bias"]) for ps, lengths, _ in made]
+        with nm.no_grad():
+            served = lstm_encode_stack(args)
+        assert not any(out.requires_grad for out in served)
+        taped = lstm_encode_stack(args)
+        assert all(out._parents == a[:1] + a[2:] for out, a in zip(taped, args))
+        assert [out.data.tobytes() for out in served] == [out.data.tobytes() for out in taped]
+
+    def test_jobs_must_share_rows_and_steps(self):
+        rng = np.random.default_rng(4)
+        (a, la, _), (b, lb, _) = self.jobs(rng, 2, 3, 8, np.float64)
+        job_a = (a["x"], la, a["w_in"], a["w_rec"], a["bias"])
+        with pytest.raises(ShapeError, match="share rows"):
+            lstm_encode_stack([job_a, (Tensor(b["x"].data[:2]), lb[:2], b["w_in"], b["w_rec"], b["bias"])])
+        with pytest.raises(ContractError, match="longest length"):
+            lstm_encode_stack([job_a, (b["x"], lb - 1, b["w_in"], b["w_rec"], b["bias"])])
 
 
 class TestGatherRows:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccnrank import vocab as vb
+from ccnrank import layers, models, vocab as vb
 from ccnrank.corpus import SyntheticConfig, TrainInstance, generate_splits
 from ccnrank.models import (
     randomize_parameters,
@@ -20,6 +20,7 @@ from ccnrank.models import (
     parameter_spec,
     prepare_pairs,
     save_checkpoint,
+    score_members,
 )
 from ccnrank.numerics import (
     ContractError, NonFiniteError, Tensor, backward, finite_diff_check, mean, mul, no_grad, sub,
@@ -550,6 +551,66 @@ class TestRequestEqualsBatch:
                 assert got.tobytes() == batch[start : start + size].tobytes(), (instances, start)
 
 
+class TestScoreMembers:
+    """An ensemble's members score together as each scores alone, bit for
+    bit, while their request-sized encoder jobs run stacked."""
+
+    @staticmethod
+    def ensemble(head, precision):
+        train, evals, _ = generate_splits(5, 60, 4, 1, SyntheticConfig(context_turns=3))
+        vocab = build_vocab(train)
+        members = []
+        for i, arch in enumerate(ARCHITECTURES):
+            config = ModelConfig(arch, embedding_dim=8, hidden_size=8, max_len=40, k=2, seed=i,
+                                 precision=precision, ccn_head=head, frequency_threshold=2)
+            model, _ = build_model(config, vocab)
+            randomize_parameters(model, np.random.default_rng(i))
+            members.append(model)
+        return members, evals
+
+    @staticmethod
+    def count_stacks(monkeypatch):
+        """(jobs, rows) of every stacked kernel call, and rows of every lone one."""
+        stacks, alone = [], []
+
+        def stacked(jobs):
+            stacks.append((len(jobs), jobs[0][0].shape[0]))
+            return layers.lstm_encode_stack(jobs)
+
+        def single(x, *args):
+            alone.append(x.shape[0])
+            return layers.lstm_encode(x, *args)
+
+        monkeypatch.setattr(models, "lstm_encode_stack", stacked)
+        monkeypatch.setattr(models, "lstm_encode", single)
+        return stacks, alone
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("head", ["sigmoid", "parallel"])
+    @pytest.mark.parametrize("instances", [1, 3])
+    def test_members_score_as_alone(self, monkeypatch, instances, head, precision):
+        members, evals = self.ensemble(head, precision)
+        pairs = [(inst.context, cand) for inst in evals[:instances] for cand in inst.candidates]
+        alone = [m.score_pairs(pairs) for m in members]
+        stacks, _ = self.count_stacks(monkeypatch)
+        together = score_members(members, pairs)
+        assert together.shape == (3, len(pairs))
+        assert [row.tobytes() for row in together] == [probs.tobytes() for probs in alone]
+        assert stacks  # the comparison covered the stacked path
+
+    def test_a_request_stacks_and_a_64_row_job_does_not(self, monkeypatch):
+        members, evals = self.ensemble("sigmoid", "float64")
+        stacks, alone = self.count_stacks(monkeypatch)
+        request = [(evals[0].context, cand) for cand in evals[0].candidates]
+        score_members(members, request)
+        # the three members' high-band contexts (one row each) and candidates (ten rows)
+        assert (3, 1) in stacks and (3, 10) in stacks
+        stacks.clear()
+        contexts = [inst.context for inst in evals]
+        score_members(members, [(contexts[i % 4], evals[i % 4].candidates[i // 4 % 10]) for i in range(64)])
+        assert all(rows <= 16 for _, rows in stacks) and 64 in alone
+
+
 def tape_nodes(output):
     """Recorded ops (tensors with parents) reachable from ``output``."""
     seen, stack, count = set(), [output], 0
@@ -748,6 +809,18 @@ class TestCheckpoint:
                    r"the config implies \{'dtype': '<f8', 'name': 'encoder\.w_rec'")
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path, vocab=vocab)
+
+    @pytest.mark.parametrize("name, value, found", [
+        ("bilinear", np.zeros((3, 3)), r"float64 \[3, 3\], the config implies float64 \[2, 2\]"),
+        ("encoder.bias", np.zeros(8, dtype=np.float32), r"float32 \[8\], the config implies float64 \[8\]"),
+    ], ids=["shape", "dtype"])
+    def test_save_refuses_a_parameter_unlike_the_manifest(self, tmp_path, name, value, found):
+        model, _ = self.build("dual_lstm")
+        model.params[name].data = value
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match=f"parameter '{name}' is {found}"):
+            save_checkpoint(model, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: [e for e in m if e["name"] != "encoder.w_in"],

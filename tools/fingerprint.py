@@ -1,4 +1,4 @@
-"""Print one sha256 over the trained parameters and scores of 32 configurations.
+"""Print one sha256 over the trained parameters and scores of 32 configurations and 8 ensembles.
 
 A change that is meant to leave every computed bit as it was prints the same
 digest as its parent.  Run it in both checkouts and compare the output:
@@ -21,6 +21,11 @@ model is saved with ``save_checkpoint`` and loaded back with
 ``load_checkpoint``, so checkpoints count: the digest covers every parameter
 of the loaded model and its ``score_pairs`` over the eval pairs at batch
 sizes 256 and 10.
+
+For each k, max_len and precision, one more line digests the ensemble path:
+``evaluation.score_instances`` over the loaded ``dual_lstm``, ``mfcw_lstm``
+and ``ccn_lstm`` (sigmoid head), once per eval instance (a request, whose
+encoders run stacked) and once over the whole eval split.
 """
 
 from __future__ import annotations
@@ -33,14 +38,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ccnrank import corpus, models, training, vocab as vb  # noqa: E402
+from ccnrank import corpus, evaluation, models, training, vocab as vb  # noqa: E402
 
 VARIANTS = (("dual_lstm", "sigmoid"), ("mfcw_lstm", "sigmoid"), ("ccn_lstm", "sigmoid"),
             ("ccn_lstm", "parallel"))
+ENSEMBLE = VARIANTS[:3]
 
 
 def fingerprint(arch, head, k, max_len, precision, data, tmp):
-    """sha256 of one configuration's trained, saved and reloaded parameters and eval scores."""
+    """sha256 of one configuration's trained, saved and reloaded parameters
+    and eval scores, and the reloaded model."""
     train_set, eval_set, val_set = data
     config = models.ModelConfig(architecture=arch, embedding_dim=8, hidden_size=8, max_len=max_len,
                                 k=k, seed=11, precision=precision, ccn_head=head)
@@ -57,6 +64,15 @@ def fingerprint(arch, head, k, max_len, precision, data, tmp):
     pairs = [(inst.context, cand) for inst in eval_set for cand in inst.candidates]
     for batch_size in (256, 10):
         digest.update(model.score_pairs(pairs, batch_size=batch_size).tobytes())
+    return digest.hexdigest(), model
+
+
+def ensemble_fingerprint(members, eval_set):
+    """sha256 of ``score_instances`` over the members, per instance and over the whole split."""
+    digest = hashlib.sha256()
+    scored = [evaluation.score_instances(members, [inst])[0] for inst in eval_set]
+    for s in scored + evaluation.score_instances(members, eval_set):
+        digest.update(s.probabilities.tobytes() + s.cwf.tobytes())
     return digest.hexdigest()
 
 
@@ -73,11 +89,18 @@ def main():
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         data = read_back(tmp, *corpus.generate_splits(11, 240, 20, 10, corpus.SyntheticConfig(context_turns=8)))
-        for (arch, head), k, max_len, precision in itertools.product(
-                VARIANTS, (1, 2), (40, 160), ("float64", "float32")):
-            digest = fingerprint(arch, head, k, max_len, precision, data, tmp)
+        settings = list(itertools.product((1, 2), (40, 160), ("float64", "float32")))
+        trained = {}
+        for (arch, head), (k, max_len, precision) in itertools.product(VARIANTS, settings):
+            digest, trained[arch, head, k, max_len, precision] = fingerprint(
+                arch, head, k, max_len, precision, data, tmp)
             total.update(digest.encode())
             print(f"{arch}\t{head}\tk={k}\tmax_len={max_len}\t{precision}\t{digest}")
+        for k, max_len, precision in settings:
+            members = [trained[arch, head, k, max_len, precision] for arch, head in ENSEMBLE]
+            digest = ensemble_fingerprint(members, data[1])
+            total.update(digest.encode())
+            print(f"ensemble\tk={k}\tmax_len={max_len}\t{precision}\t{digest}")
     print(total.hexdigest())
 
 

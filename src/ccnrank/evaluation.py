@@ -145,7 +145,7 @@ def tune_scale_from_scored(scored_sets, grid=DEFAULT_SCALE_GRID) -> float:
     return best_scale
 
 
-def tune_scale(models, validation_instances, grid=DEFAULT_SCALE_GRID) -> float:
-    """Pick the CWF scale on a validation split by recall@1."""
+def tune_scale(models, validation_instances) -> float:
+    """Pick the CWF scale on a validation split by recall@1 over ``DEFAULT_SCALE_GRID``."""
     scored = score_instances(models, validation_instances)
-    return tune_scale_from_scored(scored, grid)
+    return tune_scale_from_scored(scored)

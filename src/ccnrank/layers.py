@@ -22,9 +22,8 @@ Conventions baked in here:
     hand-written backward through time per encoder.  ``lstm_encode`` is its
     E=1 case.  Each encoder is one tape op, not a chain of per-step ops, so
     its cost does not grow with the tape, and a sequence encodes to the same
-    bits alone, in any batch and in any stack.  Rows update in place until
-    the first step at which a real row ends; only from there on does a
-    per-step mask carry ended rows forward;
+    bits alone, in any batch and in any stack.  Every row runs every step,
+    with no mask: a row's encoding is read right after its own last step;
   * cross-convolution pools the k largest inner products per response word
     over context positions, with padded context columns masked out so they
     can never win the pooling.  The grid covers only the columns it is given
@@ -65,7 +64,7 @@ def init_lstm_arrays(input_dim, hidden_size, rng, limit=0.08):
 # -- pretrained vectors --------------------------------------------------------
 
 
-def load_word_vectors(path, dim=None, dtype=np.float64) -> dict:
+def load_word_vectors(path, dim, dtype=np.float64) -> dict:
     """Read a text embedding file: one ``word v1 v2 ... vN`` line per word.
 
     Vectors are returned as ``dtype``.  A line that is not UTF-8, a wrong
@@ -79,7 +78,7 @@ def load_word_vectors(path, dim=None, dtype=np.float64) -> dict:
         if len(parts) < 2:
             continue
         word, values = parts[0], parts[1:]
-        if dim is not None and len(values) != dim:
+        if len(values) != dim:
             raise ContractError(
                 f"{path}: line {lineno}: expected {dim} values, got {len(values)}"
             )
@@ -198,19 +197,19 @@ def lstm_encode_stack(jobs) -> list:
     time), and each job is its own tape op with its own backward over its
     rows, so a stacked call gives the gradients of separate calls.  One
     matmul per job projects the inputs of every step; the recurrence runs in
-    plain numpy with sigmoid computed as 0.5 * (1 + tanh(z / 2)).  Up to the
-    first step at which a real row has ended every row updates in place;
-    from there on a row whose sequence has ended carries its state forward
-    unchanged, and the backward skips the masks over the same steps.
-    Activations are kept only when the tape records an op, so the no_grad
-    serving path stores none.
+    plain numpy with sigmoid computed as 0.5 * (1 + tanh(z / 2)).  Every row
+    runs every step, with no mask: a row's encoding is its ``h`` right after
+    its own last step, and the backward adds its output gradient there, so
+    its padding gets exactly zero gradient whatever it holds.  Activations
+    are kept only when the tape records an op, so the no_grad serving path
+    stores none.
     """
     x0, _, _, w_rec0, _ = jobs[0]
     if x0.ndim != 3:
         raise ShapeError(f"lstm_encode expects a [B x N x L] batch, got shape {x0.shape}")
     batch, n_in = x0.shape[:2]
     dtype, hidden = x0.dtype, w_rec0.shape[1]
-    all_lengths = []
+    all_lengths, ends = [], []  # ends: per job, step -> the rows whose sequence ends at that step
     for x, lengths, _, w_rec, _ in jobs:
         lengths = np.asarray(lengths, dtype=np.int64)
         if x.ndim != 3 or x.shape[:2] != (batch, n_in) or x.dtype != dtype or w_rec.shape[1] != hidden:
@@ -221,6 +220,9 @@ def lstm_encode_stack(jobs) -> list:
         if lengths.max(initial=0) > x.shape[2]:
             raise ContractError("a length exceeds the sequence length")
         all_lengths.append(lengths)
+        ends.append({})
+        for row, n in enumerate(lengths.tolist()):
+            ends[-1].setdefault(n - 1, []).append(row)  # a zero-length row lands at step -1, which never runs
     steps = int(all_lengths[0].max(initial=0))
     if any(lengths.max(initial=0) != steps for lengths in all_lengths):
         raise ContractError("stacked LSTM jobs must share their longest length")
@@ -229,9 +231,8 @@ def lstm_encode_stack(jobs) -> list:
     if batch == 1:
         # numpy sends one-row products to gemv, which rounds unlike the gemm a
         # batch gets; a second row of zeros keeps a lone sequence's bits equal
-        # to its bits in any batch.  It runs unmasked and its output is dropped.
+        # to its bits in any batch.  No step ends it, so no output is read from it.
         datas = [np.concatenate([data, np.zeros_like(data)]) for data in datas]
-        all_lengths = [np.append(lengths, steps) for lengths in all_lengths]
         rows = 2
     stack = len(jobs)
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))  # gate blocks
@@ -242,12 +243,11 @@ def lstm_encode_stack(jobs) -> list:
     half[g_] = 1.0
     shift = np.full(4 * hidden, 0.5, dtype=dtype)
     shift[g_] = 0.0
-    weights, inputs, projections, w_rec_half_t = [], [], [], []
+    saved, projections, w_rec_half_t = [], [], []  # saved: each job's inputs and weights for its backward
     for data, (_, _, w_in, w_rec, bias) in zip(datas, jobs):
         w_in, w_rec, bias = (t.data.astype(dtype, copy=False) for t in (w_in, w_rec, bias))
-        weights.append((w_in, w_rec))
         xs = data[:, :, :steps].transpose(2, 0, 1).reshape(steps * rows, n_in)  # step-major rows
-        inputs.append(xs)
+        saved.append((xs, w_in, w_rec))
         # Both products take contiguous [in x 4H] weights: with a transposed
         # view, OpenBLAS rounds products of fewer than ten rows unlike longer
         # ones, and a row must encode to the same bits in any batch.
@@ -260,9 +260,6 @@ def lstm_encode_stack(jobs) -> list:
     w_rec_half_t = np.stack(w_rec_half_t)  # [E x H x 4H]
     # full-shape copies: in-place ops on equal shapes skip numpy's broadcasting
     half_rows, shift_rows = (np.broadcast_to(v, (stack * rows, 4 * hidden)).copy() for v in (half, shift))
-    all_lengths = np.concatenate(all_lengths)
-    active = (all_lengths > np.arange(steps)[:, None])[:, :, None]  # [T x E*B x 1]
-    unmasked = int(all_lengths.min())  # steps before the first real row ends
     keep = any(nm.records((x, *params)) for x, _, *params in jobs)
     if keep:  # the state entering each step, and tanh of each step's new cell
         h_seq, c_seq, tanh_c_seq = (np.empty((steps, stack * rows, hidden), dtype=dtype) for _ in range(3))
@@ -270,6 +267,7 @@ def lstm_encode_stack(jobs) -> list:
     c = np.zeros((stack * rows, hidden), dtype=dtype)
     rec = np.empty((stack * rows, 4 * hidden), dtype=dtype)
     h_jobs, rec_jobs = h.reshape(stack, rows, hidden), rec.reshape(stack, rows, 4 * hidden)  # views
+    out = np.zeros((stack, rows, hidden), dtype=dtype)  # zero-length rows keep the zero vector
     for t in range(steps):
         gates = gates_seq[t]
         np.matmul(h_jobs, w_rec_half_t, out=rec_jobs)
@@ -281,34 +279,35 @@ def lstm_encode_stack(jobs) -> list:
         tanh_c = np.tanh(c_new)
         if keep:
             h_seq[t], c_seq[t], tanh_c_seq[t] = h, c, tanh_c
-        if t < unmasked:
-            c = c_new
-            np.multiply(gates[:, o_], tanh_c, out=h)
-        else:
-            c = np.where(active[t], c_new, c)
-            np.copyto(h, gates[:, o_] * tanh_c, where=active[t])
+        c = c_new
+        np.multiply(gates[:, o_], tanh_c, out=h)
+        for e, job_ends in enumerate(ends):
+            if t in job_ends:
+                out[e, job_ends[t]] = h_jobs[e, job_ends[t]]
 
-    def backward_for(job_rows, x, xs, w_in, w_rec):
+    def backward_for(e, x, xs, w_in, w_rec):
+        job_rows, job_ends = slice(e * rows, (e + 1) * rows), ends[e]
+
         def backward_fn(g):
             d_pre = np.empty((steps, rows, 4 * hidden), dtype=dtype)
             slope = np.empty((rows, 4 * hidden), dtype=dtype)
             candidate = 1.0 - 2.0 * shift  # 1 on the tanh block, 0 on the sigmoid blocks
             dh = np.zeros((rows, hidden), dtype=g.dtype)
-            dh[:batch] = g.reshape(batch, hidden)
-            dc = np.zeros_like(dh)  # stays zero on the rows of ended sequences: only h is output
+            dc = np.zeros_like(dh)
             for t in reversed(range(steps)):
-                on, gates, tanh_c = active[t, job_rows], gates_seq[t, job_rows], tanh_c_seq[t, job_rows]
-                dh_t = dh if t < unmasked else np.where(on, dh, 0.0)  # an ended row passes dh on
-                dc_t = dc + dh_t * gates[:, o_] * (1.0 - tanh_c * tanh_c)
+                gates, tanh_c = gates_seq[t, job_rows], tanh_c_seq[t, job_rows]
+                if t in job_ends:  # dh and dc are exactly 0 past a row's end: setting adds, keeps -0.0
+                    dh[job_ends[t]] = g[job_ends[t]]
+                dc_t = dc + dh * gates[:, o_] * (1.0 - tanh_c * tanh_c)
                 d = d_pre[t]
                 np.multiply(dc_t, gates[:, g_], out=d[:, i_])
                 np.multiply(dc_t, c_seq[t, job_rows], out=d[:, f_])
                 np.multiply(dc_t, gates[:, i_], out=d[:, g_])
-                np.multiply(dh_t, tanh_c, out=d[:, o_])
+                np.multiply(dh, tanh_c, out=d[:, o_])
                 # d gate / d pre-activation: s (1 - s) for a sigmoid, (1 - a)(1 + a) for tanh
                 d *= np.subtract(1.0, gates, out=slope)
                 d *= np.add(gates, candidate, out=slope)
-                dh = d @ w_rec if t < unmasked else np.where(on, d @ w_rec, dh)
+                dh = d @ w_rec
                 dc = dc_t * gates[:, f_]
             d_rows = d_pre.reshape(steps * rows, 4 * hidden)
             dx = None
@@ -321,12 +320,8 @@ def lstm_encode_stack(jobs) -> list:
 
         return backward_fn
 
-    encodings = []
-    for e, ((x, _, *params), xs, w) in enumerate(zip(jobs, inputs, weights)):
-        job_rows = slice(e * rows, (e + 1) * rows)
-        encodings.append(nm.custom_op(h[e * rows : e * rows + batch], (x, *params),
-                                      backward_for(job_rows, x, xs, *w)))
-    return encodings
+    return [nm.custom_op(out[e, :batch], (x, *params), backward_for(e, x, *job_saved))
+            for e, ((x, _, *params), job_saved) in enumerate(zip(jobs, saved))]
 
 
 def bilinear_score(c: Tensor, r: Tensor, weight: Tensor) -> Tensor:

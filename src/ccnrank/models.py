@@ -32,18 +32,18 @@ encodings back to the pairs (``layers.gather_rows``, whose backward adds the
 pairs' gradients).  The cross-convolution grid is per pair, so that branch
 takes each pair's context ids.
 
-A batch's forward is two steps: ``_encoder_jobs`` lists the LSTM encodings
-its branches need (embedded ids, lengths and weights per branch and side),
-and ``_branch_scores`` scores the batch from their outputs.
-``forward_batch`` (training and gradient checks) runs each job alone.
-``score_members`` is the one tape-free scoring path, for one model
-(``RankingModel.score_pairs``) or an ensemble
-(``evaluation.score_instances``): within each 256-pair slice, the jobs of
-all members that share rows, steps, sizes and dtype run as one
-``layers.lstm_encode_stack``, if they have at most ``_STACK_ROWS`` (16)
-rows.  A request's one-row contexts and ten-row candidates stack; training
-batches, validation and ``evaluate`` slices do not, since stacking gains
-little at that size and keeps a larger transient.
+There is one forward, ``_forward_slice``, over a list of members: it
+selects the rows, lists the LSTM encodings the branches need
+(``_encoder_jobs``), runs them (``_encode``) and scores each member
+(``_branch_scores``).  Jobs of all members that share rows, steps, sizes and
+dtype run as one ``layers.lstm_encode_stack`` if they have at most
+``_STACK_ROWS`` (16) rows, every other job alone.  ``forward_batch``
+(training, gradient checks) is its one-member case on the tape, and
+``score_members`` (``RankingModel.score_pairs``, ``evaluation.score_instances``)
+runs it per 256-pair slice without one.  A request's one-row contexts and
+ten-row candidates stack; full training batches, validation and
+``evaluate`` slices do not, since stacking gains little at that size and
+keeps a larger transient.
 
 Checkpoints are a binary container: 8-byte magic ``CCNRANK1``, a 4-byte
 little-endian header length, a canonical-JSON header (format version 2,
@@ -258,8 +258,8 @@ def _initial_values(config: ModelConfig, vocab_size):
     return values
 
 
-def randomize_parameters(model: RankingModel, rng, scale=0.5):
-    """Redraw every parameter uniform in [-scale, scale]; pad rows stay zero.
+def randomize_parameters(model: RankingModel, rng):
+    """Redraw every parameter uniform in [-0.5, 0.5]; pad rows stay zero.
 
     Gradient verification needs a well-conditioned operating point:
     init-scale weights leave the loss nearly flat, so finite differences
@@ -267,7 +267,7 @@ def randomize_parameters(model: RankingModel, rng, scale=0.5):
     """
     for name in sorted(model.params.names()):
         t = model.params[name]
-        t.data = rng.uniform(-scale, scale, size=t.shape).astype(t.data.dtype)
+        t.data = rng.uniform(-0.5, 0.5, size=t.shape).astype(t.data.dtype)
     for name in _embedding_names(model.config):
         model.params[name].data[0, :] = 0.0
 
@@ -347,9 +347,15 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
 
 def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Tensor:
     """Probabilities for the prepared rows; differentiable w.r.t. model parameters."""
-    cols, context_of = prepared.select(rows)
-    encoded = {key: lstm_encode(*job) for key, job in _encoder_jobs(model, cols).items()}
-    return _branch_scores(model, cols, context_of, encoded)
+    return _forward_slice([model], [prepared], rows)[0]
+
+
+def _forward_slice(members, prepared, rows):
+    """Each member's probabilities for the rows ``rows`` of its prepared pairs."""
+    selected = [batch.select(rows) for batch in prepared]
+    jobs = [_encoder_jobs(m, cols) for m, (cols, _) in zip(members, selected)]
+    return [_branch_scores(m, cols, context_of, encoded)
+            for m, (cols, context_of), encoded in zip(members, selected, _encode(jobs))]
 
 
 def _encoder_jobs(model: RankingModel, cols):
@@ -395,8 +401,8 @@ def _branch_scores(model: RankingModel, cols, context_of, encoded) -> Tensor:
 # 0.57 at 8, 0.74 at 16, 0.88 at 26 and 1.01 at 64.  Stacking every 256-pair
 # ``evaluate`` slice gained no speed, while its tracemalloc peak on the
 # train_short bench rose from 6.2 to 22.0 MB, above a training epoch's
-# 17.4 MB.  So a request's context and candidates stack, and training,
-# validation and ``evaluate`` slices do not.
+# 17.4 MB.  So a request's context and candidates stack, and full training
+# batches, validation and ``evaluate`` slices do not.
 _STACK_ROWS = 16
 
 
@@ -404,8 +410,8 @@ def score_members(members, pairs, batch_size=256) -> np.ndarray:
     """[members x pairs] probabilities of every member for (context tokens,
     response tokens) pairs, no tape.
 
-    Each member scores ``batch_size``-pair slices as ``forward_batch`` does,
-    but within a slice the encoder jobs of all members that have at most
+    Each ``batch_size``-pair slice runs through ``_forward_slice`` for all
+    members at once, so the encoder jobs of all members that have at most
     ``_STACK_ROWS`` rows and share rows, steps, sizes and dtype run as one
     ``lstm_encode_stack``; every probability keeps its bits.  Raises
     NonFiniteError when a probability is NaN (e.g. NaN weights).
@@ -415,10 +421,7 @@ def score_members(members, pairs, batch_size=256) -> np.ndarray:
     with nm.no_grad():
         for start in range(0, len(pairs), batch_size):
             rows = slice(start, start + batch_size)
-            selected = [batch.select(rows) for batch in prepared]
-            jobs = [_encoder_jobs(m, cols) for m, (cols, _) in zip(members, selected)]
-            for i, (m, (cols, context_of), encoded) in enumerate(zip(members, selected, _encode(jobs))):
-                out[i, rows] = _branch_scores(m, cols, context_of, encoded).data
+            out[:, rows] = [probs.data for probs in _forward_slice(members, prepared, rows)]
     for m, probs in zip(members, out):
         finite = np.isfinite(probs)
         if not finite.all():
@@ -440,12 +443,10 @@ def _encode(jobs):
             groups.setdefault(shape if x.shape[0] <= _STACK_ROWS else (m, key), []).append((m, key))
     encoded = [{} for _ in jobs]
     for group in groups.values():
-        if len(group) == 1:
-            (m, key), = group
-            encoded[m][key] = lstm_encode(*jobs[m][key])
-        else:
-            for (m, key), h in zip(group, lstm_encode_stack([jobs[m][key] for m, key in group])):
-                encoded[m][key] = h
+        group_jobs = [jobs[m][key] for m, key in group]
+        outs = lstm_encode_stack(group_jobs) if len(group) > 1 else [lstm_encode(*group_jobs[0])]
+        for (m, key), h in zip(group, outs):
+            encoded[m][key] = h
     return encoded
 
 

@@ -59,8 +59,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.array(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.array(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         if arr.ndim > MAX_RANK:

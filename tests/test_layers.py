@@ -298,6 +298,39 @@ class TestLstmEncodeStack:
         for got, want in zip(grads, want_grads):
             assert {n: g.tobytes() for n, g in got.items()} == {n: g.tobytes() for n, g in want.items()}
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ragged_stack_ignores_what_the_padding_holds(self, dtype):
+        # rows keep running after their own end, so a row's output, the weight
+        # gradients and the padding's zero gradient must not depend on the padding
+        stack, steps, dim = 3, 9, 8
+        rng = np.random.default_rng(14)
+        weights = [[a.astype(dtype) for a in init_lstm_arrays(dim, dim, rng, limit=0.5)] for _ in range(stack)]
+        lengths = [rng.permutation(steps + 1) for _ in range(stack)]  # every length 0..T in each job
+        xs = [rng.normal(size=(steps + 1, dim, steps + 2)).astype(dtype) for _ in range(stack)]
+        pads = [np.arange(steps + 2) >= n[:, None, None] for n in lengths]  # [B x 1 x L]
+        garbage = [rng.choice([-50.0, 50.0], size=x.shape).astype(dtype) for x in xs]
+        out_weights = [rng.normal(size=(steps + 1, dim)).astype(dtype) for _ in range(stack)]
+
+        def run(padding):
+            made = []
+            for job_weights, n, x, pad, fill in zip(weights, lengths, xs, pads, padding):
+                ps = ParameterSet()
+                params = [ps.add(name, a.copy()) for name, a in zip(("w_in", "w_rec", "bias"), job_weights)]
+                made.append((ps, (ps.add("x", np.where(pad, fill, x)), n, *params)))
+            outs = lstm_encode_stack([job for _, job in made])
+            for out, w in zip(outs, out_weights):
+                backward(nm.tsum(nm.tsum(nm.mul(out, Tensor(w)), axis=1)))
+            return [out.data for out in outs], [ps for ps, _ in made]
+
+        zero_outs, zero_sets = run([np.zeros_like(x) for x in xs])
+        outs, sets = run(garbage)
+        for out, want in zip(outs, zero_outs):
+            assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        for ps, want, pad in zip(sets, zero_sets, pads):
+            for name in ("w_in", "w_rec", "bias"):
+                assert np.array_equal(ps[name].grad, want[name].grad), name
+            assert np.all(ps["x"].grad[np.broadcast_to(pad, ps["x"].shape)] == 0.0)
+
     def test_no_grad_stack_equals_taped_stack(self):
         made = self.jobs(np.random.default_rng(3), 3, 4, 8, np.float64)
         args = [(ps["x"], lengths, ps["w_in"], ps["w_rec"], ps["bias"]) for ps, lengths, _ in made]

@@ -611,6 +611,36 @@ class TestScoreMembers:
         assert all(rows <= 16 for _, rows in stacks) and 64 in alone
 
 
+class TestForwardBatchStacks:
+    """On the tape, a small batch's stacked encoder jobs give the
+    probabilities and gradients of the jobs run alone, bit for bit."""
+
+    def test_stacked_batch_equals_jobs_alone(self, monkeypatch):
+        train, _, _ = generate_splits(2, 40, 1, 0, SyntheticConfig(context_turns=2))
+        config = ModelConfig("mfcw_lstm", embedding_dim=8, hidden_size=8, max_len=40, seed=3,
+                             frequency_threshold=2)
+        model, _ = build_model(config, build_vocab(train))
+        randomize_parameters(model, np.random.default_rng(3))
+        batch = train[:16]
+        prepared = prepare_pairs(model, [(t.context, t.response) for t in batch])
+        labels = np.array([t.label for t in batch], dtype=np.float64)
+        stacks, _ = TestScoreMembers.count_stacks(monkeypatch)
+
+        def run():
+            model.params.zero_gradients()
+            probs = forward_batch(model, prepared)
+            backward(batch_loss(probs, labels))
+            return probs.data.tobytes(), {name: t.grad.tobytes() for name, t in model.params.items()}
+
+        stacked = run()
+        assert stacks  # some of the batch's jobs ran as one stack
+        stacks.clear()
+        monkeypatch.setattr(models, "_STACK_ROWS", 0)
+        alone = run()
+        assert not stacks
+        assert stacked == alone
+
+
 def tape_nodes(output):
     """Recorded ops (tensors with parents) reachable from ``output``."""
     seen, stack, count = set(), [output], 0

@@ -21,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -30,7 +31,7 @@ import sys
 import numpy as np
 
 from . import corpus, evaluation, models, training, vocab as vb
-from .layers import ConfigurationError, load_word_vectors
+from .layers import load_word_vectors
 from .numerics import ContractError, NonFiniteError, ShapeError, finite_diff_check
 from .training import TrainingDiverged
 
@@ -48,7 +49,6 @@ _CONFIG_ERRORS = (
     corpus.ConfigError,
     ContractError,
     ShapeError,
-    ConfigurationError,
     models.CheckpointError,
 )
 
@@ -85,6 +85,15 @@ def write_manifest(path, args, inputs, outputs):
     return manifest
 
 
+@contextlib.contextmanager
+def _settings(args):
+    """Build configs from the flags; a value refused names the ``--config`` file, which may have set it."""
+    try:
+        yield
+    except (corpus.ConfigError, ContractError) as err:
+        raise type(err)(f"{args.config} and the command line: {err}" if args.config else str(err)) from None
+
+
 def _instances(load, path):
     """The instances ``load`` reads from a CSV; a file with none is a usage error."""
     instances = load(path)
@@ -99,15 +108,16 @@ def _instances(load, path):
 def cmd_gen_synthetic(args):
     if args.val is None:
         args.val = args.eval
-    for flag, count, least in (("--train", args.train, 1), ("--eval", args.eval, 1), ("--val", args.val, 0)):
-        if count < least:  # before anything is written
-            raise corpus.ConfigError(f"{flag} must be >= {least}, got {count}")
-    config = corpus.SyntheticConfig(
-        topics=args.topics,
-        keywords_per_topic=args.keywords_per_topic,
-        filler_vocab_size=args.filler_vocab_size,
-        context_turns=args.context_turns,
-    )
+    with _settings(args):
+        for flag, count, least in (("--train", args.train, 1), ("--eval", args.eval, 1), ("--val", args.val, 0)):
+            if count < least:  # before anything is written
+                raise corpus.ConfigError(f"{flag} must be >= {least}, got {count}")
+        config = corpus.SyntheticConfig(
+            topics=args.topics,
+            keywords_per_topic=args.keywords_per_topic,
+            filler_vocab_size=args.filler_vocab_size,
+            context_turns=args.context_turns,
+        )
     os.makedirs(args.out, exist_ok=True)
     paths = {name: os.path.join(args.out, f"{name}.csv") for name in ("train", "validation", "eval")}
     write_manifest(os.path.join(args.out, "manifest.json"), args, inputs=[], outputs=list(paths.values()))
@@ -147,26 +157,27 @@ def cmd_train(args):
     log_path = args.out + ".log"
     vocab_out = None if args.vocab else args.out + ".vocab.txt"
     outputs = [args.out, log_path] + ([vocab_out] if vocab_out else [])
-    config = models.ModelConfig(
-        architecture=args.arch,
-        embedding_dim=args.embedding_dim,
-        hidden_size=args.hidden_size,
-        max_len=args.max_len,
-        k=args.k,
-        frequency_threshold=args.threshold,
-        seed=args.seed,
-        precision=args.precision,
-        ccn_head=args.ccn_head,
-    )
-    train_config = training.TrainConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        max_epochs=args.epochs,
-        seed=args.seed,
-        patience=args.patience,
-        clip_norm=args.clip_norm,
-        log_path=log_path,
-    )
+    with _settings(args):
+        config = models.ModelConfig(
+            architecture=args.arch,
+            embedding_dim=args.embedding_dim,
+            hidden_size=args.hidden_size,
+            max_len=args.max_len,
+            k=args.k,
+            frequency_threshold=args.threshold,
+            seed=args.seed,
+            precision=args.precision,
+            ccn_head=args.ccn_head,
+        )
+        train_config = training.TrainConfig(
+            batch_size=args.batch_size,
+            learning_rate=args.learning_rate,
+            max_epochs=args.epochs,
+            seed=args.seed,
+            patience=args.patience,
+            clip_norm=args.clip_norm,
+            log_path=log_path,
+        )
     # every input is read and checked before the first write
     vocabulary = vb.load_vocab(args.vocab) if args.vocab else None
     pretrained = (load_word_vectors(args.embeddings, dim=args.embedding_dim, dtype=args.precision)
@@ -209,7 +220,10 @@ def cmd_evaluate(args):
     if args.cwf_scale is not None:
         evaluation.check_scale(args.cwf_scale)
     vocabulary = vb.load_vocab(args.vocab)
-    loaded = [models.load_checkpoint(p, vocab=vocabulary) for p in model_paths]
+    try:  # a checkpoint trained with another vocabulary
+        loaded = [models.load_checkpoint(p, vocab=vocabulary) for p in model_paths]
+    except ContractError as err:
+        raise ContractError(f"{args.vocab}: {err}") from None
     eval_set = _instances(corpus.load_eval, args.eval)
     tune_set = _instances(corpus.load_eval, args.tune_cwf) if args.tune_cwf else None
     inputs = model_paths + [args.vocab, args.eval] + ([args.tune_cwf] if args.tune_cwf else [])
@@ -271,6 +285,14 @@ def cmd_gradcheck(args):
 # -- parser ------------------------------------------------------------------------------
 
 
+def seed(text):
+    """A ``--seed`` value: an integer >= 0, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     """The ccnrank parser; each flag's default is its real default, read from
     the config dataclass field that the flag sets."""
@@ -284,7 +306,7 @@ def build_parser():
                    "explicit flags win")
 
     gen = sub.add_parser("gen-synthetic", help="write a deterministic synthetic corpus")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=seed, default=0)
     gen.add_argument("--train", type=int, required=True, help="number of train instances")
     gen.add_argument("--eval", type=int, required=True, help="number of eval instances")
     gen.add_argument("--val", type=int, help="validation instances (default: --eval)")
@@ -305,7 +327,7 @@ def build_parser():
     tr.add_argument("--train", required=True)
     tr.add_argument("--val", required=True, help="eval-format validation CSV")
     tr.add_argument("--out", required=True, help="checkpoint path")
-    tr.add_argument("--seed", type=int, default=model_config.seed)
+    tr.add_argument("--seed", type=seed, default=model_config.seed)
     tr.add_argument("--vocab", help="existing vocabulary file (default: build from train)")
     tr.add_argument("--embeddings", help="pretrained word vector file for the high-frequency table")
     tr.add_argument("--epochs", type=int, default=train_config.max_epochs)
@@ -340,7 +362,7 @@ def build_parser():
 
     gc = sub.add_parser("gradcheck", help="verify model gradients against finite differences")
     gc.add_argument("--arch", required=True, choices=models.ARCHITECTURES)
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=seed, default=0)
     gc.add_argument("--tolerance", type=float, default=1e-4)
     gc.add_argument("--h", type=float, default=1e-4, dest="step")
     gc.add_argument("--manifest", default="run-manifest.json")

@@ -322,6 +322,8 @@ def generate_splits(seed, n_train, n_eval, n_val, config=SyntheticConfig()):
     sets do not depend on ``n_val``."""
     if n_train < 1 or n_eval < 1 or n_val < 0:
         raise ConfigError(f"n_train and n_eval must be >= 1 and n_val >= 0, got {n_train}, {n_eval}, {n_val}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     T = config.topics
 

@@ -40,10 +40,6 @@ from .corpus import text_lines
 from .numerics import ContractError, ShapeError, Tensor
 
 
-class ConfigurationError(ValueError):
-    """A layer was configured with unusable sizes."""
-
-
 # -- initializers -------------------------------------------------------------
 
 
@@ -347,35 +343,35 @@ def kmax_pool(scores: Tensor, k, col_valid, row_valid, out_rows) -> Tensor:
     Columns at or beyond ``col_valid[b]`` are padding and never win the
     pooling; rows at or beyond ``row_valid[b]`` (padded response words) emit
     gradient-free zeros, as do slots left over when a row has fewer than k
-    real columns.  ``out_rows`` (at least R) zero-pads the result to a fixed
-    width, so a grid trimmed to a batch's real rows feeds the same dense
-    head as a full one.  What was selected follows from the masks alone, so
-    infinite and NaN values pool like any other (NaN counts as the largest,
-    as in ``np.argmax``).  Gradient is routed to the selected positions
-    only, first occurrence winning ties.
+    real columns, and so when the grid itself is narrower than k (C may be
+    0).  ``out_rows`` (at least R) zero-pads the result to a fixed width, so
+    a grid trimmed to a batch's real rows feeds the same dense head as a
+    full one.  What was selected follows from the masks alone, so infinite
+    and NaN values pool like any other (NaN counts as the largest, as in
+    ``np.argmax``).  Gradient is routed to the selected positions only,
+    first occurrence winning ties.
     """
     b, rows, cols = scores.shape
-    if k > cols:
-        raise ConfigurationError(f"k={k} exceeds the {cols} available positions")
     if out_rows < rows:
         raise ShapeError(f"kmax_pool: {rows} grid rows do not fit in {out_rows} output rows")
     col_valid = np.asarray(col_valid, dtype=np.int64)[:, None, None]
     row_valid = np.asarray(row_valid, dtype=np.int64)[:, None, None]
     masked = np.where(np.arange(cols) < col_valid, scores.data, -np.inf)
-    if k == 1:
+    pooled = min(k, cols)
+    if pooled == 1:
         order = np.argmax(masked, axis=2)[:, :, None]  # first occurrence on ties
     else:
         key = -masked
         key[np.isnan(key)] = -np.inf  # NaN first, as argmax takes it
-        order = np.argsort(key, axis=2, kind="stable")[:, :, :k]
+        order = np.argsort(key, axis=2, kind="stable")[:, :, :pooled]
     selected = (order < col_valid) & (np.arange(rows)[:, None] < row_valid)
     vals = np.where(selected, np.take_along_axis(scores.data, order, axis=2), 0.0)
     data = np.zeros((b, out_rows, k), dtype=vals.dtype)
-    data[:, :rows] = vals
+    data[:, :rows, :pooled] = vals
 
     def backward_fn(g):
         grad = np.zeros_like(scores.data)
-        g_sel = np.where(selected, g.reshape(b, out_rows, k)[:, :rows], 0.0)
+        g_sel = np.where(selected, g.reshape(b, out_rows, k)[:, :rows, :pooled], 0.0)
         np.put_along_axis(grad, order, g_sel, axis=2)
         return (grad,)
 
@@ -404,11 +400,10 @@ def cross_convolution(context_emb: Tensor, response_emb: Tensor, k, heads, conte
         raise ShapeError(f"cross_convolution expects [B x N x L] batches, got "
                          f"{context_emb.shape} and {response_emb.shape}")
     if len(heads) not in (1, 2):
-        raise ConfigurationError(f"cross_convolution takes one dense head or two, got {len(heads)}")
-    ctx_cols, resp_cols = context_emb.shape[2], response_emb.shape[2]
-    if not 1 <= k <= ctx_cols:
-        raise ConfigurationError(f"k={k} must be at least 1 and at most the context length {ctx_cols}")
-    kl = heads[0][0].shape[0]
+        raise ContractError(f"cross_convolution takes one dense head or two, got {len(heads)}")
+    if k < 1:
+        raise ContractError(f"cross_convolution needs k >= 1, got {k}")
+    kl, resp_cols = heads[0][0].shape[0], response_emb.shape[2]
     if kl % k or resp_cols > kl // k:
         raise ShapeError(f"dense weight has {kl} entries, needs k*L with k={k} and L >= {resp_cols}")
 

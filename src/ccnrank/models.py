@@ -136,8 +136,9 @@ class ModelConfig:
                 raise ContractError(f"{name} must be >= 1")
         if self.k > self.max_len:
             raise ContractError("k cannot exceed max_len")
-        if self.frequency_threshold < 0:
-            raise ContractError("frequency_threshold must be >= 0")
+        for name in ("frequency_threshold", "seed"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.precision not in _DTYPES:
             raise ContractError(f"precision must be one of {tuple(_DTYPES)}")
         if self.ccn_head not in CCN_HEADS:
@@ -275,6 +276,7 @@ def randomize_parameters(model: RankingModel, rng):
 # -- batched forward ----------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class PreparedPairs:
     """Stacked band-filtered id columns for a list of (context, response) pairs.
 
@@ -286,19 +288,15 @@ class PreparedPairs:
     them.  So ``forward_batch`` encodes a context once for all its
     candidates and gathers the encoding back to the pairs.
 
-    ``select`` also cuts every id column down to the longest true length
-    among the rows it returns (never below the column's floor in
-    ``min_cols``), so the layers see no padding column that every row has.
-    Filtered rows keep their pads at the end, so the cut drops pads only.
-    The columns are stored already cut for all the rows.
+    Each column is stored as ``vocab.filter_rows`` builds it, as wide as its
+    longest row, and ``select`` cuts it further to the longest true length
+    among the rows it returns, so the layers see no padding column that
+    every row has.  Filtered rows keep their pads at the end, so the cut
+    drops pads only.
     """
 
-    def __init__(self, columns, context_of, min_cols):
-        self.columns = columns  # name -> (ids [n x W], lengths [n]), W <= max_len
-        self.context_of = context_of  # [pairs] row of each pair's context in the ctx_ columns
-        self.min_cols = min_cols  # name -> fewest columns select may leave
-        columns, self.context_of = self.select()
-        self.columns = {name: (ids.copy(), lengths) for name, (ids, lengths) in columns.items()}
+    columns: dict  # name -> (ids [n x W], lengths [n]), W the longest length
+    context_of: np.ndarray  # [pairs] row of each pair's context in the ctx_ columns
 
     def select(self, rows=None):
         """(name -> (ids, lengths) of the chosen pairs, [pairs] index into the ctx_ rows)."""
@@ -310,8 +308,7 @@ class PreparedPairs:
         for name, (ids, lengths) in self.columns.items():
             picked = contexts if name.startswith("ctx_") else rows
             ids, lengths = ids[picked], lengths[picked]
-            width = max(int(lengths.max(initial=0)), self.min_cols.get(name, 0))
-            selected[name] = (ids[:, :width], lengths)
+            selected[name] = (ids[:, : lengths.max(initial=0)], lengths)
         return selected, np.argsort(order)[context_of]
 
 
@@ -340,9 +337,7 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
     for side, (ids, _) in sides.items():
         for band in bands:
             columns[f"{side}_{band}"] = vb.filter_rows(ids, model.split, band)
-    # cross-convolution pools k values per response word from the context columns
-    min_cols = {f"ctx_{band}": model.config.k for kind, band, *_ in branches if kind == CCN}
-    return PreparedPairs(columns, context_of, min_cols)
+    return PreparedPairs(columns, context_of)
 
 
 def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Tensor:

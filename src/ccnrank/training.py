@@ -51,6 +51,8 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < np.inf:  # NaN fails too
             raise ContractError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.clip_norm is not None and not self.clip_norm > 0:  # NaN fails too

@@ -7,9 +7,10 @@ into a high band (count > threshold) and a low band (count <= threshold);
 out-of-vocabulary tokens are treated as low-band, being by definition rare.
 
 Every sequence is a row: ``encode`` turns a list of token sequences into an
-[n x L] id matrix and its [n] true lengths, and ``filter_rows`` band-filters
+[n x W] id matrix and its [n] true lengths, and ``filter_rows`` band-filters
 such a matrix (through the split's boolean id->high table) into the same
-pair of arrays.
+pair of arrays.  Each matrix is as wide as its longest row: W is the largest
+true length, never a fixed ``max_len``.
 
 The CWF score of a (context, response) pair is the sum of 1/n_w over the
 common word types, where n_w is the word's occurrence count in the train
@@ -117,8 +118,8 @@ def split_by_frequency(vocab: Vocabulary, threshold=DEFAULT_FREQUENCY_THRESHOLD)
 
 def encode(texts, vocab: Vocabulary, length=DEFAULT_MAX_LEN, side=CONTEXT):
     """Map each token sequence of ``texts`` to a row of ids, truncated to
-    ``length`` and right-padded with pad ids; returns (ids [n x length],
-    [n] true lengths).
+    ``length`` and right-padded with pad ids; returns (ids [n x W], [n] true
+    lengths), where W is the longest true length (0 for no rows).
 
     Overlong contexts keep their last ``length`` tokens (the most recent
     turns), overlong responses keep their first ``length`` tokens.  The
@@ -130,23 +131,27 @@ def encode(texts, vocab: Vocabulary, length=DEFAULT_MAX_LEN, side=CONTEXT):
         raise ContractError(f"side must be {CONTEXT!r} or {RESPONSE!r}, got {side!r}")
     kept = [t[-length:] for t in texts] if side == CONTEXT else [t[:length] for t in texts]
     lengths = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
-    ids = np.full((len(kept), length), PAD_ID, dtype=np.int64)
+    ids = np.full((len(kept), lengths.max(initial=0)), PAD_ID, dtype=np.int64)
     words = map(vocab.word_to_id.get, chain.from_iterable(kept), repeat(OOV_ID))
-    ids[np.arange(length) < lengths[:, None]] = np.fromiter(words, dtype=np.int64, count=int(lengths.sum()))
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(words, dtype=np.int64, count=int(lengths.sum()))
     return ids, lengths
 
 
 def filter_rows(ids, split: FrequencySplit, band: str):
     """Keep the ids of ``band`` in each row of an [n x L] integer array, moved to
-    the front in their original order and re-padded; returns (ids, [n] kept counts)."""
+    the front in their original order and re-padded; returns (ids [n x W],
+    [n] kept counts), where W is the largest kept count."""
     if band not in (HIGH, LOW):
         raise ContractError(f"band must be {HIGH!r} or {LOW!r}, got {band!r}")
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= len(split.is_high):
         raise ContractError(f"token id out of range [0, {len(split.is_high)}) in band filter")
     high = split.is_high[ids]
     keep = high if band == HIGH else ~high & (ids != PAD_ID)
-    order = np.argsort(~keep, axis=1, kind="stable")  # kept ids first, in order
-    return np.take_along_axis(np.where(keep, ids, PAD_ID), order, axis=1), keep.sum(axis=1)
+    counts = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : counts.max(initial=0)]  # kept ids first, in order
+    kept = np.take_along_axis(ids, order, axis=1)
+    kept[np.arange(kept.shape[1]) >= counts[:, None]] = PAD_ID
+    return kept, counts
 
 
 def common_words(context, response) -> tuple:

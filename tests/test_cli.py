@@ -104,7 +104,7 @@ class TestGenSynthetic:
         assert manifest["seed"] == 9
         assert manifest["configuration"]["topics"] == 3
 
-    def test_bad_config_value_is_usage_error(self, run_in_tmpdir):
+    def test_bad_config_value_is_usage_error(self, run_in_tmpdir, capsys):
         cfg = run_in_tmpdir / "syn.cfg"
         cfg.write_text("topics = 0\n")
         rc = main(
@@ -112,6 +112,7 @@ class TestGenSynthetic:
              "--out", str(run_in_tmpdir / "x"), "--config", str(cfg)]
         )
         assert rc == EXIT_USAGE
+        assert f"{cfg} and the command line: topics" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, text", [
         ("--vocab", b"hello\t3\nw\xff\t2\n"),
@@ -349,6 +350,15 @@ class TestTrain:
         assert str(cfg) in err and "learning_rate" in err
         assert not ckpt.exists() and not (run_in_tmpdir / "model.ckpt.manifest.json").exists()
 
+    def test_config_value_a_config_refuses_names_the_file(self, run_in_tmpdir, capsys):
+        data = gen(run_in_tmpdir)
+        cfg = run_in_tmpdir / "train.cfg"
+        cfg.write_text("k = 17\n")  # above train_tiny's --max-len 16
+        rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--config", str(cfg)))
+        assert rc == EXIT_USAGE
+        assert f"{cfg} and the command line: k cannot exceed max_len" in capsys.readouterr().err
+        assert sorted(p.name for p in run_in_tmpdir.iterdir()) == ["data", "train.cfg"]
+
 
 def option_names(command):
     """Every ``--flag`` of a command, written as a config key."""
@@ -565,6 +575,22 @@ def readme_commands():
     return [" ".join(line.split()) for line in lines if line.strip().startswith("ccnrank ")]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-synthetic", "--seed", "-1", "--train", "4", "--eval", "2", "--out", "d"],
+    ["train", "--arch", "dual_lstm", "--train", "data/train.csv", "--val", "data/validation.csv", "--out", "m.ckpt",
+     "--seed", "-1"],
+    ["gradcheck", "--arch", "dual_lstm", "--seed", "-2"],
+], ids=["gen-synthetic", "train", "gradcheck"])
+def test_negative_seed_is_usage_error_before_any_write(run_in_tmpdir, argv, capsys):
+    gen(run_in_tmpdir)  # train's inputs
+    before = listing(run_in_tmpdir)
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --seed: must be >= 0" in err and "Traceback" not in err
+    assert listing(run_in_tmpdir) == before
+
+
 class TestReadme:
     def test_readme_shows_every_command(self):
         shown = {shlex.split(c)[1] for c in readme_commands()}
@@ -627,16 +653,16 @@ class TestEvaluate:
         assert rc == EXIT_OK
         assert "recall@1\t" in capsys.readouterr().out
 
-    def test_vocab_hash_mismatch_is_usage_error(self, run_in_tmpdir):
+    def test_vocab_hash_mismatch_is_usage_error(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)
         rc, ckpt = train_tiny(run_in_tmpdir, data)
         other = gen(run_in_tmpdir, seed=99, out="other")
         rc, _ = train_tiny(run_in_tmpdir, other, out="other.ckpt")
-        rc = main(
-            ["evaluate", "--models", str(ckpt), "--vocab",
-             str(run_in_tmpdir / "other.ckpt.vocab.txt"), "--eval", str(data / "eval.csv")]
-        )
+        capsys.readouterr()
+        vocab = run_in_tmpdir / "other.ckpt.vocab.txt"
+        rc = main(["evaluate", "--models", str(ckpt), "--vocab", str(vocab), "--eval", str(data / "eval.csv")])
         assert rc == EXIT_USAGE
+        assert f"{vocab}: vocabulary hash mismatch" in capsys.readouterr().err
 
     def test_bad_vocab_file_is_usage_error(self, run_in_tmpdir, capsys):
         data, ckpt, _ = self.make_model(run_in_tmpdir)

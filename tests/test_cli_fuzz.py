@@ -6,7 +6,8 @@ Five small valid inputs are mutated: the train CSV (``prepare-vocab``); the
 eval CSV, the vocabulary and a tiny checkpoint (``evaluate``); and a config
 file (``gen-synthetic --config``, with the sizes on the command line).  A
 mutation truncates the file, flips one bit, inserts a ``0xff``, NUL or CR
-byte, prepends a UTF-8 byte-order mark or empties the file.
+byte, prepends a UTF-8 byte-order mark, repeats one line or empties the
+file.  On exit 2 the message names the mutated file.
 """
 
 import contextlib
@@ -53,11 +54,15 @@ def command(target, d):
 
 @st.composite
 def mutations(draw, blob):
-    kind = draw(st.sampled_from(["truncate", "flip", "0xff", "nul", "cr", "bom", "empty"]))
+    kind = draw(st.sampled_from(["truncate", "flip", "0xff", "nul", "cr", "bom", "repeat", "empty"]))
     if kind == "empty":
         return b""
     if kind == "bom":
         return b"\xef\xbb\xbf" + blob
+    if kind == "repeat":
+        lines = blob.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        return b"".join(lines[: i + 1] + lines[i:])
     i = draw(st.integers(0, len(blob) - 1))
     if kind == "truncate":
         return blob[:i]
@@ -83,4 +88,5 @@ def test_mutated_input_exits_0_or_2_without_a_traceback(inputs, target, data):
         assert "Traceback" not in err.getvalue()
         if rc == EXIT_USAGE:
             assert err.getvalue().startswith("error: ")
+            assert str(d / target) in err.getvalue()
             assert sorted(p.name for p in d.iterdir()) == sorted(names)

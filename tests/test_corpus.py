@@ -269,6 +269,11 @@ class TestSynthetic:
         with pytest.raises(ConfigError, match="n_val >= 0"):
             generate_splits(0, 5, 5, -1)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            generate_splits(-1, 5, 5, 0)
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from ccnrank import numerics as nm
 from ccnrank.layers import (
-    ConfigurationError,
     apply_pretrained,
     bilinear_score,
     cross_convolution,
@@ -514,7 +513,7 @@ def kmax_pool_oracle(grid, k, col_valid, row_valid, out_rows, upstream):
 @st.composite
 def pooling_cases(draw):
     b, rows, k = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 3))
-    cols = draw(st.integers(k, 6))
+    cols = draw(st.integers(0, 6))  # a grid may be narrower than k
     # few distinct values, so rows hold ties
     values = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
                            min_size=b * rows * cols, max_size=b * rows * cols))
@@ -554,6 +553,25 @@ class TestKmaxPool:
         out = kmax_pool(Tensor(np.array([[[1.0, np.nan, 3.0]]])), k, [3], [1], 1)
         assert np.isnan(out.data[0, 0])
         assert out.data[0, 1:].tolist() == [3.0][: k - 1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("cols", [0, 1, 2])
+    def test_grid_narrower_than_k_pools_as_the_grid_padded_with_masked_columns(self, k, cols):
+        rng = np.random.default_rng(10 * k + cols)
+        grid = rng.normal(size=(3, 2, cols))
+        col_valid, row_valid = [cols, max(cols - 1, 0), 0], [2, 1, 2]
+        upstream = rng.normal(size=(3, 3 * k))
+        results = []
+        # the padded grid is at least k wide; its masked columns hold a value above every real one
+        for values in (grid, np.pad(grid, ((0, 0), (0, 0), (0, k + 1)), constant_values=7.0)):
+            t = Tensor(values, requires_grad=True)
+            out = kmax_pool(t, k, col_valid, row_valid, 3)
+            backward(nm.tsum(nm.mul(out, Tensor(upstream))))
+            results.append((out.data, t.grad[..., :cols], t.grad[..., cols:]))
+        (narrow, g_narrow, _), (padded, g_padded, g_masked) = results
+        np.testing.assert_array_equal(narrow, padded)
+        np.testing.assert_array_equal(g_narrow, g_padded)
+        assert not g_masked.any()
 
     def test_output_rows_cannot_drop_grid_rows(self):
         with pytest.raises(ShapeError):
@@ -615,11 +633,16 @@ class TestCrossConvolution:
         swapped = cross_convolution(Tensor(permuted), resp, 2, heads, [4], [3])
         assert base.item() == swapped.item()
 
-    def test_k_larger_than_context_rejected(self):
-        heads = ccn_head(ParameterSet(), 4, 2)
-        for k in (4, 0):  # k must be in [1, context length]
-            with pytest.raises(ConfigurationError):
-                cross_convolution(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 2))), k, heads, [3], [2])
+    def test_k_below_one_rejected_k_beyond_the_context_pools_every_column(self):
+        with pytest.raises(ContractError):
+            cross_convolution(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 2))), 0,
+                              ccn_head(ParameterSet(), 4, 2), [3], [2])
+        # k=4 over a 3-column context scores as the context padded to 4 masked columns
+        rng = np.random.default_rng(16)
+        ctx, resp, weight = rng.normal(size=(1, 2, 3)), Tensor(rng.normal(size=(1, 2, 2))), rng.normal(size=8)
+        scores = [cross_convolution(Tensor(c), resp, 4, ccn_head(ParameterSet(), 4, 2, weight=weight), [3], [2]).item()
+                  for c in (ctx, np.pad(ctx, ((0, 0), (0, 0), (0, 1)), constant_values=9.0))]
+        assert scores[0] == scores[1]
 
     def test_parallel_head(self):
         ps = ParameterSet()
@@ -630,7 +653,7 @@ class TestCrossConvolution:
         score = cross_convolution(ctx, resp, 1, heads, [2], [2])
         # sigmoid(first head's 0) + second head's bias
         assert score.item() == pytest.approx(0.75)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ContractError):
             cross_convolution(ctx, resp, 1, heads * 2, [2], [2])
 
     def test_response_wider_than_the_head_rejected(self):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,15 +237,14 @@ class TestPreparePairs:
         for name, (ids, lengths) in prepared.columns.items():
             side, band = name.split("_")
             row_of = prepared.context_of if side == "ctx" else np.arange(len(self.PAIRS))
-            # stored cut to the widest row, never below ccn_lstm's k context columns
-            floor = 2 if (arch == "ccn_lstm" and name == "ctx_high") else 0
-            width = max(lengths.max(), floor)
+            width = lengths.max()  # stored as wide as the widest row, k or not
             assert ids.shape == (row_of.max() + 1, width) and ids.dtype == np.int64, name
             for pair, (c, r) in enumerate(self.PAIRS):
                 row = row_of[pair]
                 ref_ids, ref_lengths = filter_rows(encoders[side](c, r), model.split, band)
-                np.testing.assert_array_equal(ids[row], ref_ids[0, :width], err_msg=f"{name} row {row}")
-                assert not ref_ids[0, width:].any(), (name, row)
+                assert ref_ids.shape == (1, ref_lengths[0]), (name, row)  # a lone row is as wide as itself
+                np.testing.assert_array_equal(ids[row], np.pad(ref_ids[0], (0, width - ref_lengths[0])),
+                                              err_msg=f"{name} row {row}")
                 assert lengths[row] == ref_lengths[0], (name, row)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -274,6 +274,28 @@ class TestPreparePairs:
                 ])
             got = model.score_pairs(pairs, batch_size=batch_size)
             assert got.tobytes() == expected.tobytes(), batch_size
+
+
+@pytest.fixture(scope="module")
+def long_context_pairs():
+    """400 synthetic pairs with 8-turn contexts (about 70 tokens) and their vocabulary."""
+    train, _, _ = generate_splits(7, 400, 1, 0, SyntheticConfig(context_turns=8))
+    return [(t.context, t.response) for t in train], build_vocab(train)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_prepare_pairs_peak_memory_is_at_most_five_times_what_it_keeps(arch, long_context_pairs):
+    # the bound of a transient that grows with the kept columns, not with max_len x rows
+    pairs, vocab = long_context_pairs
+    model, _ = build_model(ModelConfig(arch, embedding_dim=2, hidden_size=2, max_len=160, k=2), vocab)
+    tracemalloc.start()
+    try:
+        prepared = prepare_pairs(model, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = prepared.context_of.nbytes + sum(ids.nbytes + lengths.nbytes for ids, lengths in prepared.columns.values())
+    assert peak <= 5 * kept, (peak, kept)
 
 
 def recipe_values(config, vocab_size):
@@ -366,13 +388,21 @@ class TestEndToEndGradients:
         assert report.passed, (report.worst_parameter, report.max_relative_error)
 
 
+class Untrimmed(PreparedPairs):
+    """Prepared pairs whose ``select()`` returns every column as stored, uncut."""
+
+    def select(self, rows=None):
+        assert rows is None, "all pairs only"
+        return dict(self.columns), self.context_of
+
+
 def full_width(prepared, max_len):
-    """The same rows with every column padded back to max_len (no trim)."""
+    """The same rows with every column padded to max_len, selected uncut."""
     columns = {
         name: (np.pad(ids, ((0, 0), (0, max_len - ids.shape[1]))), lengths)
         for name, (ids, lengths) in prepared.columns.items()
     }
-    return PreparedPairs(columns, prepared.context_of, {name: max_len for name in columns})
+    return Untrimmed(columns, prepared.context_of)
 
 
 class TestBatchTrim:
@@ -385,8 +415,7 @@ class TestBatchTrim:
             selected, context_of = prepared.select(rows)
             np.testing.assert_array_equal(context_of, np.arange(3 if rows is None else len(rows)))
             for name, (ids, lengths) in selected.items():
-                floor = 3 if (arch == "ccn_lstm" and name == "ctx_high") else 0
-                assert ids.shape == (len(lengths), max(lengths.max(initial=0), floor)), (name, rows)
+                assert ids.shape == (len(lengths), lengths.max(initial=0)), (name, rows)
                 full_ids, full_lengths = prepared.columns[name]
                 picked = slice(None) if rows is None else rows  # distinct contexts: row i is pair i's
                 np.testing.assert_array_equal(lengths, full_lengths[picked])
@@ -435,7 +464,7 @@ def distinct_contexts(prepared):
         else (ids, lengths)
         for name, (ids, lengths) in prepared.columns.items()
     }
-    return PreparedPairs(columns, np.arange(len(prepared.context_of)), prepared.min_cols)
+    return PreparedPairs(columns, np.arange(len(prepared.context_of)))
 
 
 class TestSharedContexts:
@@ -507,7 +536,6 @@ class TestSharedContexts:
         model, _ = build_model(tiny_config(arch, max_len=6, k=3), tiny_vocab())
         prepared = prepare_pairs(model, self.PAIRS)
         bands = ("high", "low") if arch == "mfcw_lstm" else ("high",)
-        floor = 3 if arch == "ccn_lstm" else 0
         # (pairs, their distinct contexts in order of first use, each pair's index into those)
         for rows, contexts, context_of in (([1, 3], [1, 2], [0, 1]), ([4, 0, 6], [0, 1], [0, 0, 1]),
                                            ([5, 3], [2], [0, 0]), ([6], [1], [0])):
@@ -517,7 +545,7 @@ class TestSharedContexts:
                 ids, lengths = selected[f"ctx_{band}"]
                 full_ids, full_lengths = prepared.columns[f"ctx_{band}"]
                 np.testing.assert_array_equal(lengths, full_lengths[contexts])
-                assert ids.shape == (len(contexts), max(lengths.max(), floor)), (rows, band)
+                assert ids.shape == (len(contexts), lengths.max()), (rows, band)
                 np.testing.assert_array_equal(ids, full_ids[contexts][:, : ids.shape[1]])
                 assert not full_ids[contexts][:, ids.shape[1] :].any()  # only pads were cut
 
@@ -808,10 +836,11 @@ class TestCheckpoint:
             lambda h: h.update(manifest=7),
             lambda h: h.update(vocab_hash=[1]),
             lambda h: h["config"].update(k=1.0),
+            lambda h: h["config"].update(seed=-1),
         ],
         ids=["extra-config-key", "missing-config-key", "bad-config-value", "no-config",
              "entry-without-shape", "negative-shape", "duplicate-entry", "manifest-not-a-list",
-             "hash-not-a-string", "float-config-value"],
+             "hash-not-a-string", "float-config-value", "negative-seed"],
     )
     def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
         model, vocab = self.build()
@@ -973,6 +1002,8 @@ class TestParameterSpec:
             ModelConfig(architecture="dual_lstm", precision="float16")
         with pytest.raises(ContractError):
             ModelConfig(architecture="ccn_lstm", ccn_head="linear")
+        with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+            ModelConfig(architecture="dual_lstm", seed=-1)
 
 
 @pytest.fixture(scope="module")

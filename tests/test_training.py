@@ -159,6 +159,8 @@ class TestTrainLoop:
             TrainConfig(batch_size=0)
         with pytest.raises(ContractError):
             TrainConfig(learning_rate=0.0)
+        with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["max_epochs", "patience"])
     @pytest.mark.parametrize("bad", [0, -1])

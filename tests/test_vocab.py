@@ -138,8 +138,8 @@ class TestFrequencySplit:
         ids = np.array([[PAD_ID, OOV_ID, 2, PAD_ID]])
         high, high_len = filter_rows(ids, split, HIGH)
         low, low_len = filter_rows(ids, split, LOW)
-        assert high.tolist() == [[2, PAD_ID, PAD_ID, PAD_ID]] and high_len.tolist() == [1]
-        assert low.tolist() == [[OOV_ID, PAD_ID, PAD_ID, PAD_ID]] and low_len.tolist() == [1]
+        assert high.tolist() == [[2]] and high_len.tolist() == [1]
+        assert low.tolist() == [[OOV_ID]] and low_len.tolist() == [1]
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ContractError):
@@ -149,9 +149,9 @@ class TestFrequencySplit:
 class TestEncode:
     def test_padding(self):
         vocab = make_vocab({"a": 3, "b": 2})
-        ids, lengths = encode([("a", "b")], vocab, length=4, side="context")
-        np.testing.assert_array_equal(ids, [[2, 3, 0, 0]])
-        assert lengths.tolist() == [2]
+        ids, lengths = encode([("a", "b"), ("b",)], vocab, length=4, side="context")
+        np.testing.assert_array_equal(ids, [[2, 3], [3, 0]])  # as wide as the longest row
+        assert lengths.tolist() == [2, 1]
 
     def test_context_keeps_last(self):
         vocab = make_vocab({f"w{i}": 1 for i in range(6)})
@@ -174,7 +174,7 @@ class TestEncode:
         vocab = make_vocab({"a": 1})
         for n_tokens in (0, 1, 5, 9):
             ids, lengths = encode([("a",) * n_tokens], vocab, length=5)
-            assert ids.shape == (1, 5) and lengths.tolist() == [min(n_tokens, 5)]
+            assert ids.shape == (1, min(n_tokens, 5)) and lengths.tolist() == [min(n_tokens, 5)]
 
     def test_bad_args(self):
         vocab = make_vocab({"a": 1})
@@ -185,14 +185,16 @@ class TestEncode:
 
     def test_no_texts(self):
         ids, lengths = encode([], make_vocab({"a": 1}), length=3)
-        assert ids.shape == (0, 3) and ids.dtype == np.int64
+        assert ids.shape == (0, 0) and ids.dtype == np.int64
         assert lengths.shape == (0,) and lengths.dtype == np.int64
 
     def test_empty_texts(self):
         vocab = make_vocab({"a": 1})
         ids, lengths = encode([(), ("a",), ()], vocab, length=2, side="response")
-        np.testing.assert_array_equal(ids, [[PAD_ID, PAD_ID], [2, PAD_ID], [PAD_ID, PAD_ID]])
+        np.testing.assert_array_equal(ids, [[PAD_ID], [2], [PAD_ID]])
         assert lengths.tolist() == [0, 1, 0]
+        ids, lengths = encode([(), ()], vocab, length=2, side="response")
+        assert ids.shape == (2, 0) and lengths.tolist() == [0, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -202,11 +204,12 @@ class TestEncode:
         texts = data.draw(st.lists(st.lists(words, max_size=9).map(tuple), max_size=6))
         length, side = data.draw(st.integers(1, 7)), data.draw(st.sampled_from(["context", "response"]))
         ids, lengths = encode(texts, vocab, length, side)
-        assert ids.shape == (len(texts), length)
+        width = max((min(len(tokens), length) for tokens in texts), default=0)
+        assert ids.shape == (len(texts), width)
         for row, tokens in enumerate(texts):
             kept = tokens[-length:] if side == "context" else tokens[:length]
             want = [vocab.word_to_id.get(t, OOV_ID) for t in kept]
-            assert ids[row].tolist() == want + [PAD_ID] * (length - len(kept))
+            assert ids[row].tolist() == want + [PAD_ID] * (width - len(kept))
             assert lengths[row] == len(kept)
 
 
@@ -276,11 +279,12 @@ class TestFilterRows:
         for band in (HIGH, LOW):
             out, lengths = filter_rows(ids, split, band)
             filtered[band] = lengths
-            assert out.shape == ids.shape and lengths.shape == (n,)
+            kept = [[i for i in ids[row] if i != PAD_ID and (i in split.high) == (band == HIGH)] for row in range(n)]
+            width = max(map(len, kept), default=0)  # as wide as the row that keeps the most
+            assert out.shape == (n, width) and lengths.shape == (n,)
             for row in range(n):
-                kept = [i for i in ids[row] if i != PAD_ID and (i in split.high) == (band == HIGH)]
-                np.testing.assert_array_equal(out[row], kept + [PAD_ID] * (length - len(kept)))
-                assert lengths[row] == len(kept)
+                np.testing.assert_array_equal(out[row], kept[row] + [PAD_ID] * (width - len(kept[row])))
+                assert lengths[row] == len(kept[row])
         # the two bands partition every row's non-pad ids
         np.testing.assert_array_equal(filtered[HIGH] + filtered[LOW], (ids != PAD_ID).sum(axis=1))
 

@@ -7,10 +7,9 @@ into a high band (count > threshold) and a low band (count <= threshold);
 out-of-vocabulary tokens are treated as low-band, being by definition rare.
 
 Every sequence is a row: ``encode`` turns a list of token sequences into an
-[n x W] id matrix and its [n] true lengths, and ``filter_rows`` band-filters
-such a matrix (through the split's boolean id->high table) into the same
-pair of arrays.  Each matrix is as wide as its longest row: W is the largest
-true length, never a fixed ``max_len``.
+[n x W] id matrix, W the longest row's length, and its [n] true lengths, and
+``filter_rows`` band-filters such a matrix (through the split's boolean
+id->high table) into the same pair of arrays.
 
 The CWF score of a (context, response) pair is the sum of 1/n_w over the
 common word types, where n_w is the word's occurrence count in the train

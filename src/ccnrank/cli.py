@@ -336,12 +336,16 @@ def build_parser():
     tr.add_argument("--hidden-size", type=int, default=model_config.hidden_size)
     tr.add_argument("--embedding-dim", type=int, default=model_config.embedding_dim)
     tr.add_argument("--max-len", type=int, default=model_config.max_len)
-    tr.add_argument("--k", type=int, default=model_config.k)
+    tr.add_argument(
+        "--k", type=int, default=model_config.k,
+        help="values k-max pooled per response word; only ccn_lstm's cross-convolution branch uses it "
+        "(dual_lstm and mfcw_lstm ignore it)",
+    )
     tr.add_argument(
         "--threshold", type=int, default=model_config.frequency_threshold, help="high/low frequency boundary"
     )
     tr.add_argument("--patience", type=int, default=train_config.patience)
-    tr.add_argument("--precision", default=model_config.precision, choices=("float64", "float32"))
+    tr.add_argument("--precision", default=model_config.precision, choices=models.PRECISIONS)
     tr.add_argument(
         "--ccn-head", default=model_config.ccn_head, choices=models.CCN_HEADS,
         help="ccn_lstm cross-convolution branch: sigmoid (one dense head, raw score) or parallel "

@@ -91,12 +91,8 @@ def ensemble_scores(member_probabilities) -> np.ndarray:
 def _check_shared_vocabulary(models):
     if not models:
         raise ContractError("need at least one model")
-    digests = {m.vocab_hash for m in models}
-    if len(digests) != 1 or None in digests:
+    if len({m.vocab_hash for m in models}) != 1:
         raise ContractError("models must share one vocabulary (hash mismatch)")
-    for m in models:
-        if m.vocab is None:
-            raise ContractError("model has no vocabulary attached")
 
 
 def score_instances(models, instances):

@@ -360,10 +360,8 @@ def kmax_pool(scores: Tensor, k, col_valid, row_valid, out_rows) -> Tensor:
     pooled = min(k, cols)
     if pooled == 1:
         order = np.argmax(masked, axis=2)[:, :, None]  # first occurrence on ties
-    else:
-        key = -masked
-        key[np.isnan(key)] = -np.inf  # NaN first, as argmax takes it
-        order = np.argsort(key, axis=2, kind="stable")[:, :, :pooled]
+    else:  # NaN first, as argmax takes it, then descending; lexsort is stable
+        order = np.lexsort((-masked, ~np.isnan(masked)), axis=2)[:, :, :pooled]
     selected = (order < col_valid) & (np.arange(rows)[:, None] < row_valid)
     vals = np.where(selected, np.take_along_axis(scores.data, order, axis=2), 0.0)
     data = np.zeros((b, out_rows, k), dtype=vals.dtype)

@@ -13,8 +13,12 @@ decides the parameters (``parameter_spec``), the id columns
                   head, scored sigmoid(first) + second.
 
 ``forward_batch`` hands each branch's tensors, looked up by these names, to
-the layers.  ``RankingModel``'s constructor zeroes every table's padding
-row (row 0), so built and loaded models alike start with it zero;
+the layers.  A model always holds the vocabulary it was trained on: the
+frequency bands and the CWF counts come from it.  ``RankingModel``'s
+constructor takes it, checks its id count against the embedding tables'
+rows and derives the frequency split and the vocabulary hash once.  It also
+zeroes every table's padding row (row 0), so built and loaded models alike
+start with it zero;
 ``randomize_parameters`` zeroes it again after its redraw, and
 ``layers.embed_lookup`` never scatters gradient into it.
 
@@ -54,7 +58,9 @@ lists every parameter of ``parameter_spec`` in name order with the config's
 dtype, and a file loads only if its manifest equals the one its config and
 first embedding table's row count imply.  Any other file, a damaged one or
 one of another format version, raises ``CheckpointError`` instead of
-loading as another model.
+loading as another model.  ``load_checkpoint`` takes the vocabulary too and
+loads the file only if that vocabulary's hash is the one its header holds
+(else ContractError).
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ from .layers import (
     lstm_encode_stack,
 )
 from .numerics import ContractError, NonFiniteError, ParameterSet, Tensor
-from .vocab import FrequencySplit, Vocabulary
+from .vocab import Vocabulary
 
 DUAL_LSTM = "dual_lstm"
 MFCW_LSTM = "mfcw_lstm"
@@ -110,6 +116,7 @@ CHECKPOINT_MAGIC = b"CCNRANK1"
 CHECKPOINT_VERSION = 2
 _DIGEST_SIZE = 32  # the sha256 that ends a file
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
+PRECISIONS = tuple(_DTYPES)
 
 
 class CheckpointError(ValueError):
@@ -139,8 +146,8 @@ class ModelConfig:
         for name in ("frequency_threshold", "seed"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.precision not in _DTYPES:
-            raise ContractError(f"precision must be one of {tuple(_DTYPES)}")
+        if self.precision not in PRECISIONS:
+            raise ContractError(f"precision must be one of {PRECISIONS}")
         if self.ccn_head not in CCN_HEADS:
             raise ContractError(f"ccn_head must be one of {CCN_HEADS}")
 
@@ -178,31 +185,19 @@ def _dense_head_names(config: ModelConfig, head):
 
 
 class RankingModel:
-    """A configured architecture bound to a vocabulary and its parameters."""
+    """A configured architecture bound to the vocabulary it was trained on and its parameters."""
 
-    def __init__(self, config: ModelConfig, params: ParameterSet, vocab=None, vocab_hash=None):
+    def __init__(self, config: ModelConfig, params: ParameterSet, vocab: Vocabulary):
+        rows = params[_embedding_names(config)[0]].shape[0]
+        if vocab.size != rows:
+            raise ContractError(f"vocabulary has {vocab.size} ids, model tables have {rows} rows")
         self.config = config
         self.params = params
-        self.vocab: Vocabulary | None = None
-        self.split: FrequencySplit | None = None
-        self.vocab_hash = vocab_hash
+        self.vocab = vocab
+        self.split = vb.split_by_frequency(vocab, config.frequency_threshold)
+        self.vocab_hash = vocab.content_hash()
         for name in _embedding_names(config):  # the padding row, which embed_lookup maps pads to
             params[name].data[0, :] = 0.0
-        if vocab is not None:
-            self.attach_vocab(vocab)
-
-    def attach_vocab(self, vocab: Vocabulary):
-        digest = vocab.content_hash()
-        if self.vocab_hash is not None and digest != self.vocab_hash:
-            raise ContractError(
-                f"vocabulary hash mismatch: model expects {self.vocab_hash[:12]}..., got {digest[:12]}..."
-            )
-        expected_rows = self.params[_embedding_names(self.config)[0]].shape[0]
-        if vocab.size != expected_rows:
-            raise ContractError(f"vocabulary has {vocab.size} ids, model tables have {expected_rows} rows")
-        self.vocab = vocab
-        self.split = vb.split_by_frequency(vocab, self.config.frequency_threshold)
-        self.vocab_hash = digest
 
     # scoring ----------------------------------------------------------------
 
@@ -228,8 +223,7 @@ def build_model(config: ModelConfig, vocab: Vocabulary, pretrained_vectors=None)
     if pretrained_vectors is not None:
         table = params[_embedding_names(config)[0]]
         coverage = apply_pretrained(table.data, vocab, pretrained_vectors)
-    model = RankingModel(config, params, vocab=vocab)
-    return model, coverage
+    return RankingModel(config, params, vocab), coverage
 
 
 def _initial_values(config: ModelConfig, vocab_size):
@@ -319,8 +313,6 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
     and, for common-word branches, each pair's common words) and one
     ``filter_rows`` call per side and band; each distinct context is encoded
     once."""
-    if model.vocab is None:
-        raise ContractError("model has no vocabulary attached")
     length, vocab = model.config.max_len, model.vocab
     contexts = {}  # token tuple -> its row, in order of first appearance
     context_of = np.array([contexts.setdefault(tuple(c), len(contexts)) for c, _ in pairs], dtype=np.int64)
@@ -485,9 +477,10 @@ def save_checkpoint(model: RankingModel, path):
         f.write(digest.digest())
 
 
-def load_checkpoint(path, vocab: Vocabulary | None = None) -> RankingModel:
-    """Read a checkpoint; attach ``vocab`` (hash-checked) when provided.  The
-    manifest must be the one the config implies; damage raises CheckpointError."""
+def load_checkpoint(path, vocab: Vocabulary) -> RankingModel:
+    """Read a checkpoint as a model over ``vocab``.  The manifest must be the
+    one the config implies; damage raises CheckpointError, and a vocabulary
+    other than the one whose hash the header holds raises ContractError."""
     with open(path, "rb") as f:
         raw = f.read()
     start = len(CHECKPOINT_MAGIC) + 4  # magic, header length
@@ -525,7 +518,7 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> RankingModel:
         found, implied = (m[i] if i < len(m) else "nothing" for m in (entries, manifest))
         raise CheckpointError(f"{path}: manifest entry {i} is {found}, the config implies {implied}")
     vocab_hash = header.get("vocab_hash")
-    if vocab_hash is not None and not isinstance(vocab_hash, str):
+    if not isinstance(vocab_hash, str):
         raise CheckpointError(f"{path}: vocabulary hash is not a string")
     dtype = np.dtype(_DTYPES[config.precision])
     end = start + header_len + dtype.itemsize * sum(math.prod(e["shape"]) for e in manifest)
@@ -533,12 +526,12 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> RankingModel:
         raise CheckpointError(f"{path}: truncated or extended: {len(raw)} bytes, expected {end + _DIGEST_SIZE}")
     if hashlib.sha256(memoryview(raw)[:end]).digest() != raw[end:]:
         raise CheckpointError(f"{path}: sha256 mismatch: the file is damaged")
+    digest = vocab.content_hash()
+    if digest != vocab_hash:
+        raise ContractError(f"vocabulary hash mismatch: model expects {vocab_hash[:12]}..., got {digest[:12]}...")
     params, offset = ParameterSet(), start + header_len
     for e in manifest:
         arr = np.frombuffer(raw, dtype, math.prod(e["shape"]), offset).reshape(e["shape"])
         params.add(e["name"], arr.copy())
         offset += arr.nbytes
-    model = RankingModel(config, params, vocab_hash=vocab_hash)
-    if vocab is not None:
-        model.attach_vocab(vocab)
-    return model
+    return RankingModel(config, params, vocab)

@@ -425,16 +425,17 @@ class ParameterSet:
 
 
 class RmsProp:
-    """RMSProp: acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/sqrt(acc+eps).
+    """RMSProp: acc <- RHO*acc + (1-RHO)*g^2; theta <- theta - lr*g/sqrt(acc+eps).
 
-    Gradients are zeroed after the step so the next backward pass starts
-    clean.
+    ``RHO``, the accumulator's decay, is 0.9.  Gradients are zeroed after the
+    step so the next backward pass starts clean.
     """
 
-    def __init__(self, params: ParameterSet, learning_rate=1e-3, rho=0.9, epsilon=1e-6):
+    RHO = 0.9
+
+    def __init__(self, params: ParameterSet, learning_rate=1e-3, epsilon=1e-6):
         self.params = params
         self.learning_rate = float(learning_rate)
-        self.rho = float(rho)
         self.epsilon = float(epsilon)
         self.accumulators: dict[str, np.ndarray] = {}
 
@@ -445,7 +446,7 @@ class RmsProp:
             acc = self.accumulators.get(name)
             if acc is None:
                 acc = np.zeros_like(t.data)
-            acc = self.rho * acc + (1.0 - self.rho) * g * g
+            acc = self.RHO * acc + (1.0 - self.RHO) * g * g
             self.accumulators[name] = acc
             t.data = t.data - self.learning_rate * g / np.sqrt(acc + self.epsilon)
             t.grad = None

@@ -33,7 +33,6 @@ from .numerics import ContractError
 PAD_ID = 0
 OOV_ID = 1
 DEFAULT_FREQUENCY_THRESHOLD = 5
-DEFAULT_MAX_LEN = 160
 
 HIGH = "high"
 LOW = "low"
@@ -115,7 +114,7 @@ def split_by_frequency(vocab: Vocabulary, threshold=DEFAULT_FREQUENCY_THRESHOLD)
     return FrequencySplit(frozenset(high.tolist()), frozenset(low.tolist()), is_high)
 
 
-def encode(texts, vocab: Vocabulary, length=DEFAULT_MAX_LEN, side=CONTEXT):
+def encode(texts, vocab: Vocabulary, length, side=CONTEXT):
     """Map each token sequence of ``texts`` to a row of ids, truncated to
     ``length`` and right-padded with pad ids; returns (ids [n x W], [n] true
     lengths), where W is the longest true length (0 for no rows).

@@ -16,7 +16,7 @@ from ccnrank.corpus import load_eval, load_train, write_eval, write_train
 from ccnrank.models import ARCHITECTURES, ModelConfig, load_checkpoint, save_checkpoint
 from ccnrank.numerics import GradCheckReport
 from ccnrank.training import EpochReport, TrainConfig
-from ccnrank.vocab import build_vocab
+from ccnrank.vocab import build_vocab, load_vocab
 from test_models import retype_entry
 
 
@@ -63,6 +63,11 @@ def train_tiny(tmp_path, data, arch="dual_lstm", out="model.ckpt", extra=()):
         ]
     )
     return rc, tmp_path / out
+
+
+def load_trained(ckpt):
+    """The checkpoint ``train`` wrote, over the vocabulary it wrote beside it."""
+    return load_checkpoint(ckpt, load_vocab(f"{ckpt}.vocab.txt"))
 
 
 class TestGenSynthetic:
@@ -400,7 +405,7 @@ class TestConfigFile:
         cfg.write_text("precision = float32\n")
         rc, ckpt = train_tiny(run_in_tmpdir, data, extra=("--config", str(cfg)))
         assert rc == EXIT_OK
-        model = load_checkpoint(ckpt)
+        model = load_trained(ckpt)
         assert model.config.precision == "float32"
         assert {t.data.dtype for _, t in model.params.items()} == {np.dtype(np.float32)}
 
@@ -470,7 +475,7 @@ class TestOneParse:
         cfg.write_text(f"arch = ccn_lstm\ntrain = {data / 'train.csv'}\nval = {data / 'validation.csv'}\n"
                        f"out = from_file.ckpt\n{TINY_TRAIN}")
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
-        assert load_checkpoint(run_in_tmpdir / "from_file.ckpt").config.architecture == "ccn_lstm"
+        assert load_trained(run_in_tmpdir / "from_file.ckpt").config.architecture == "ccn_lstm"
 
     def test_explicit_flag_beats_a_required_key_of_the_file(self, run_in_tmpdir):
         data = gen(run_in_tmpdir)
@@ -478,7 +483,7 @@ class TestOneParse:
         cfg.write_text(f"arch = ccn_lstm\ntrain = {data / 'train.csv'}\nval = {data / 'validation.csv'}\n"
                        f"out = from_file.ckpt\n{TINY_TRAIN}")
         assert main(["train", "--config", str(cfg), "--out", "explicit.ckpt", "--arch", "dual_lstm"]) == EXIT_OK
-        assert load_checkpoint(run_in_tmpdir / "explicit.ckpt").config.architecture == "dual_lstm"
+        assert load_trained(run_in_tmpdir / "explicit.ckpt").config.architecture == "dual_lstm"
         assert not (run_in_tmpdir / "from_file.ckpt").exists()
 
     def test_required_flag_in_neither_is_usage_error(self, run_in_tmpdir, capsys):
@@ -686,7 +691,7 @@ class TestEvaluate:
     def test_nan_weights_are_numeric_failure(self, run_in_tmpdir, capsys):
         data = gen(run_in_tmpdir)
         rc, ckpt = train_tiny(run_in_tmpdir, data)
-        model = load_checkpoint(ckpt)
+        model = load_trained(ckpt)
         model.params["bilinear"].data[0, 0] = np.nan
         save_checkpoint(model, ckpt)
         capsys.readouterr()
@@ -701,7 +706,7 @@ class TestEvaluate:
         # NaN grid entries win the k-max pooling instead of pooling to zero
         data = gen(run_in_tmpdir)
         rc, ckpt = train_tiny(run_in_tmpdir, data, arch="ccn_lstm")
-        model = load_checkpoint(ckpt)
+        model = load_trained(ckpt)
         model.params["embedding_ccn"].data[1:] = np.nan
         save_checkpoint(model, ckpt)
         capsys.readouterr()

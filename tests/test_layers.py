@@ -555,6 +555,17 @@ class TestKmaxPool:
         assert out.data[0, 1:].tolist() == [3.0][: k - 1]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nan_outranks_inf_at_every_k(self, k):
+        t = Tensor(np.array([[[np.inf, np.nan, 1.0]]]), requires_grad=True)
+        out = kmax_pool(t, k, [3], [1], 1)
+        np.testing.assert_array_equal(out.data, [[np.nan, np.inf, 1.0][:k]])
+        upstream = np.array([[10.0, 20.0, 30.0][:k]])  # one value per slot, to see which column got which
+        backward(nm.tsum(nm.mul(out, Tensor(upstream))))
+        want_grad = np.zeros(3)
+        want_grad[[1, 0, 2][:k]] = upstream[0]  # slot 0 is NaN's column, slot 1 inf's, slot 2 1.0's
+        np.testing.assert_array_equal(t.grad[0, 0], want_grad)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("cols", [0, 1, 2])
     def test_grid_narrower_than_k_pools_as_the_grid_padded_with_masked_columns(self, k, cols):
         rng = np.random.default_rng(10 * k + cols)

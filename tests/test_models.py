@@ -769,22 +769,22 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.score_pairs(pairs), loaded.score_pairs(pairs))
 
     def test_truncated_file_rejected(self, tmp_path):
-        model, _ = self.build()
+        model, vocab = self.build()
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 10])
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path)
+            load_checkpoint(path, vocab=vocab)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(CheckpointError, match="magic"):
-            load_checkpoint(path)
+            load_checkpoint(path, vocab=tiny_vocab())
 
     def test_version_mismatch_rejected(self, tmp_path):
-        model, _ = self.build()
+        model, vocab = self.build()
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         blob = bytearray(path.read_bytes())
@@ -793,10 +793,10 @@ class TestCheckpoint:
         blob[idx : idx + len(b'"format_version":2')] = b'"format_version":9'
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+            load_checkpoint(path, vocab=vocab)
 
     def test_shape_mismatch_names_field(self, tmp_path):
-        model, _ = self.build("dual_lstm")
+        model, vocab = self.build("dual_lstm")
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         blob = path.read_bytes()
@@ -805,7 +805,7 @@ class TestCheckpoint:
         assert broken != blob
         path.write_bytes(broken)
         with pytest.raises(CheckpointError, match="bilinear"):
-            load_checkpoint(path)
+            load_checkpoint(path, vocab=vocab)
 
     def test_vocab_hash_mismatch_rejected(self, tmp_path):
         model, _ = self.build()
@@ -835,12 +835,13 @@ class TestCheckpoint:
             lambda h: h["manifest"].append(h["manifest"][0]),
             lambda h: h.update(manifest=7),
             lambda h: h.update(vocab_hash=[1]),
+            lambda h: h.update(vocab_hash=None),  # names no vocabulary, so none may load it
             lambda h: h["config"].update(k=1.0),
             lambda h: h["config"].update(seed=-1),
         ],
         ids=["extra-config-key", "missing-config-key", "bad-config-value", "no-config",
              "entry-without-shape", "negative-shape", "duplicate-entry", "manifest-not-a-list",
-             "hash-not-a-string", "float-config-value", "negative-seed"],
+             "hash-not-a-string", "null-hash", "float-config-value", "negative-seed"],
     )
     def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
         model, vocab = self.build()
@@ -906,7 +907,7 @@ class TestCheckpoint:
         start, size = model.params["bilinear"].data.nbytes, model.params["embedding_high"].data.nbytes
         write_checkpoint_file(path, header, payload[:start] + payload[start + size :])
         with pytest.raises(CheckpointError, match="no row count for 'embedding_high'"):
-            load_checkpoint(path)
+            load_checkpoint(path, vocab=vocab)
 
     def test_pad_row_zero_after_load(self, tmp_path):
         vocab = tiny_vocab()
@@ -1008,11 +1009,12 @@ class TestParameterSpec:
 
 @pytest.fixture(scope="module")
 def ccn_checkpoint(tmp_path_factory):
-    """A saved ccn_lstm checkpoint's bytes, and a path to write damaged copies to."""
-    model, _ = build_model(tiny_config("ccn_lstm"), tiny_vocab())
+    """A saved ccn_lstm checkpoint's bytes, a path to write damaged copies to and its vocabulary."""
+    vocab = tiny_vocab()
+    model, _ = build_model(tiny_config("ccn_lstm"), vocab)
     path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
     save_checkpoint(model, path)
-    return path.read_bytes(), path
+    return path.read_bytes(), path, vocab
 
 
 class TestCheckpointFuzz:
@@ -1021,7 +1023,7 @@ class TestCheckpointFuzz:
     def test_every_single_byte_overwrite_rejected(self, ccn_checkpoint):
         # two overwrites of every byte (lowest bit flipped, all bits flipped),
         # and every other value of the format version's digit
-        blob, path = ccn_checkpoint
+        blob, path, vocab = ccn_checkpoint
         version_digit = blob.index(b'"format_version":2') + len(b'"format_version":')
         overwrites = [(i, blob[i] ^ mask) for i in range(len(blob)) for mask in (0x01, 0xFF)]
         overwrites += [(version_digit, value) for value in range(256) if value != blob[version_digit]]
@@ -1031,7 +1033,7 @@ class TestCheckpointFuzz:
             damaged[i] = value
             path.write_bytes(bytes(damaged))
             try:
-                load_checkpoint(path)
+                load_checkpoint(path, vocab=vocab)
                 loaded.append((i, value))
             except CheckpointError:
                 pass
@@ -1040,21 +1042,21 @@ class TestCheckpointFuzz:
     @settings(max_examples=200, deadline=None)
     @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
     def test_truncated_file(self, ccn_checkpoint, fraction):
-        blob, path = ccn_checkpoint
+        blob, path, vocab = ccn_checkpoint
         path.write_bytes(blob[: int(fraction * len(blob))])
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            load_checkpoint(path, vocab=vocab)
 
     @settings(max_examples=500, deadline=None)
     @given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
            value=st.integers(min_value=0, max_value=255))
     def test_one_header_byte_overwritten(self, ccn_checkpoint, fraction, value):
-        blob, path = ccn_checkpoint
+        blob, path, vocab = ccn_checkpoint
         damaged = bytearray(blob)
         (length,) = struct.unpack_from("<I", damaged, 8)
         damaged[int(fraction * (12 + length))] = value  # magic, length field or JSON
         path.write_bytes(bytes(damaged))
         try:
-            load_checkpoint(path)
+            load_checkpoint(path, vocab=vocab)
         except CheckpointError:
             pass

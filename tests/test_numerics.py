@@ -227,7 +227,7 @@ class TestRmsProp:
         ps = ParameterSet()
         w = ps.add("w", np.array([0.0]))
         w.grad = np.array([1.0])
-        opt = RmsProp(ps, learning_rate=lr, rho=rho, epsilon=eps)
+        opt = RmsProp(ps, learning_rate=lr, epsilon=eps)
         opt.step()
         assert float(w.data[0]) == pytest.approx(-expected_delta, rel=1e-12)
         assert expected_delta == pytest.approx(3.16226e-3, rel=1e-4)

@@ -7,7 +7,10 @@ digest as its parent.  Run it in both checkouts and compare the output:
 
 It prints one line per configuration and, last, one digest over them all.
 It imports ``ccnrank`` from the checkout's ``src`` directory, so each
-checkout measures its own code.  Configurations: ``dual_lstm``,
+checkout measures its own code.  Like ``bench/run.py``, it sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy is imported, so every total is taken with BLAS at one thread
+and no environment needs setting by hand.  Configurations: ``dual_lstm``,
 ``mfcw_lstm``, ``ccn_lstm`` and ``ccn_lstm`` with the parallel head, each at
 k 1 and 2, max_len 40 and 160, float64 and float32.  At k=2 gradients are clipped to
 norm 1e-4, below the first batch's gradient norm of every architecture, so
@@ -32,10 +35,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import sys
 import tempfile
 from pathlib import Path
 
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is first imported
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ccnrank import corpus, evaluation, models, training, vocab as vb  # noqa: E402

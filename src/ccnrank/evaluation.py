@@ -128,13 +128,10 @@ def evaluate(models, instances, scale=0.0) -> RecallReport:
     return report_from_scored(scored, scale)
 
 
-def tune_scale_from_scored(scored_sets, grid=DEFAULT_SCALE_GRID) -> float:
-    """Grid value maximizing recall@1; ties go to the smaller scale."""
-    grid = sorted(float(s) for s in grid)
-    if not grid or 0.0 not in grid:
-        raise ContractError("scale grid must be non-empty and include 0")
+def tune_scale_from_scored(scored_sets) -> float:
+    """``DEFAULT_SCALE_GRID`` value maximizing recall@1; ties go to the smaller scale."""
     best_scale, best_recall = None, -1.0
-    for scale in grid:
+    for scale in DEFAULT_SCALE_GRID:
         r1 = recall_at_k(ranks_at_scale(scored_sets, scale), 1)
         if r1 > best_recall:
             best_recall, best_scale = r1, scale

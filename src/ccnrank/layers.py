@@ -213,8 +213,8 @@ def lstm_encode_stack(jobs) -> list:
                              f"hidden {w_rec.shape[1]} against {x0.shape} {dtype}, hidden {hidden}")
         if lengths.shape != (batch,):
             raise ContractError(f"expected {batch} lengths, got shape {lengths.shape}")
-        if lengths.max(initial=0) > x.shape[2]:
-            raise ContractError("a length exceeds the sequence length")
+        if lengths.min(initial=0) < 0 or lengths.max(initial=0) > x.shape[2]:
+            raise ContractError(f"each length must lie in [0, {x.shape[2]}], the sequence length")
         all_lengths.append(lengths)
         ends.append({})
         for row, n in enumerate(lengths.tolist()):

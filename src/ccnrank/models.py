@@ -36,18 +36,20 @@ encodings back to the pairs (``layers.gather_rows``, whose backward adds the
 pairs' gradients).  The cross-convolution grid is per pair, so that branch
 takes each pair's context ids.
 
-There is one forward, ``_forward_slice``, over a list of members: it
-selects the rows, lists the LSTM encodings the branches need
-(``_encoder_jobs``), runs them (``_encode``) and scores each member
+There is one forward, ``_forward_slice``, over a list of members, each
+with the pairs prepared for it: it lists the LSTM encodings the branches
+need (``_encoder_jobs``), runs them (``_encode``) and scores each member
 (``_branch_scores``).  Jobs of all members that share rows, steps, sizes and
 dtype run as one ``layers.lstm_encode_stack`` if they have at most
 ``_STACK_ROWS`` (16) rows, every other job alone.  ``forward_batch``
 (training, gradient checks) is its one-member case on the tape, and
 ``score_members`` (``RankingModel.score_pairs``, ``evaluation.score_instances``)
-runs it per 256-pair slice without one.  A request's one-row contexts and
-ten-row candidates stack; full training batches, validation and
-``evaluate`` slices do not, since stacking gains little at that size and
-keeps a larger transient.
+runs it per 256-pair slice without one.  Each training batch and each slice
+is prepared from exactly the pairs it runs, so its columns are as wide as
+its own longest true length.  A request's one-row contexts and ten-row
+candidates stack; full training batches, validation and ``evaluate`` slices
+do not, since stacking gains little at that size and keeps a larger
+transient.
 
 Checkpoints are a binary container: 8-byte magic ``CCNRANK1``, a 4-byte
 little-endian header length, a canonical-JSON header (format version 2,
@@ -275,35 +277,16 @@ class PreparedPairs:
     """Stacked band-filtered id columns for a list of (context, response) pairs.
 
     The context columns (``ctx_<band>``) hold one row per distinct context,
-    and ``context_of`` gives each pair its context's row; every other column
-    holds one row per pair.  ``select(rows)`` returns the chosen pairs'
-    columns, with the context columns cut to the distinct contexts those
-    pairs use (in order of first use), and each chosen pair's index into
-    them.  So ``forward_batch`` encodes a context once for all its
-    candidates and gathers the encoding back to the pairs.
-
-    Each column is stored as ``vocab.filter_rows`` builds it, as wide as its
-    longest row, and ``select`` cuts it further to the longest true length
-    among the rows it returns, so the layers see no padding column that
-    every row has.  Filtered rows keep their pads at the end, so the cut
-    drops pads only.
+    in order of first use, and ``context_of`` gives each pair its context's
+    row; every other column holds one row per pair.  So ``forward_batch``
+    encodes a context once for all its candidates and gathers the encoding
+    back to the pairs.  Each column is as ``vocab.filter_rows`` builds it, as
+    wide as its longest true length, so the layers see no padding column
+    that every row has.
     """
 
     columns: dict  # name -> (ids [n x W], lengths [n]), W the longest length
     context_of: np.ndarray  # [pairs] row of each pair's context in the ctx_ columns
-
-    def select(self, rows=None):
-        """(name -> (ids, lengths) of the chosen pairs, [pairs] index into the ctx_ rows)."""
-        rows = slice(None) if rows is None else rows
-        contexts, first, context_of = np.unique(self.context_of[rows], return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the contexts in order of first use
-        contexts = contexts[order]
-        selected = {}
-        for name, (ids, lengths) in self.columns.items():
-            picked = contexts if name.startswith("ctx_") else rows
-            ids, lengths = ids[picked], lengths[picked]
-            selected[name] = (ids[:, : lengths.max(initial=0)], lengths)
-        return selected, np.argsort(order)[context_of]
 
 
 def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
@@ -332,17 +315,16 @@ def prepare_pairs(model: RankingModel, pairs) -> PreparedPairs:
     return PreparedPairs(columns, context_of)
 
 
-def forward_batch(model: RankingModel, prepared: PreparedPairs, rows=None) -> Tensor:
-    """Probabilities for the prepared rows; differentiable w.r.t. model parameters."""
-    return _forward_slice([model], [prepared], rows)[0]
+def forward_batch(model: RankingModel, prepared: PreparedPairs) -> Tensor:
+    """Probabilities for the prepared pairs; differentiable w.r.t. model parameters."""
+    return _forward_slice([model], [prepared])[0]
 
 
-def _forward_slice(members, prepared, rows):
-    """Each member's probabilities for the rows ``rows`` of its prepared pairs."""
-    selected = [batch.select(rows) for batch in prepared]
-    jobs = [_encoder_jobs(m, cols) for m, (cols, _) in zip(members, selected)]
-    return [_branch_scores(m, cols, context_of, encoded)
-            for m, (cols, context_of), encoded in zip(members, selected, _encode(jobs))]
+def _forward_slice(members, prepared):
+    """Each member's probabilities for its prepared pairs (``prepared`` in member order)."""
+    jobs = [_encoder_jobs(m, batch.columns) for m, batch in zip(members, prepared)]
+    return [_branch_scores(m, batch.columns, batch.context_of, encoded)
+            for m, batch, encoded in zip(members, prepared, _encode(jobs))]
 
 
 def _encoder_jobs(model: RankingModel, cols):
@@ -397,18 +379,21 @@ def score_members(members, pairs, batch_size=256) -> np.ndarray:
     """[members x pairs] probabilities of every member for (context tokens,
     response tokens) pairs, no tape.
 
-    Each ``batch_size``-pair slice runs through ``_forward_slice`` for all
-    members at once, so the encoder jobs of all members that have at most
-    ``_STACK_ROWS`` rows and share rows, steps, sizes and dtype run as one
-    ``lstm_encode_stack``; every probability keeps its bits.  Raises
-    NonFiniteError when a probability is NaN (e.g. NaN weights).
+    Each member prepares each ``batch_size``-pair slice, and the slice runs
+    through ``_forward_slice`` for all members at once, so the encoder jobs
+    of all members that have at most ``_STACK_ROWS`` rows and share rows,
+    steps, sizes and dtype run as one ``lstm_encode_stack``; every
+    probability keeps its bits.  Raises ContractError when ``batch_size`` is
+    below 1 and NonFiniteError when a probability is NaN (e.g. NaN weights).
     """
-    prepared = [prepare_pairs(m, pairs) for m in members]
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     out = np.empty((len(members), len(pairs)))
     with nm.no_grad():
         for start in range(0, len(pairs), batch_size):
             rows = slice(start, start + batch_size)
-            out[:, rows] = [probs.data for probs in _forward_slice(members, prepared, rows)]
+            prepared = [prepare_pairs(m, pairs[rows]) for m in members]
+            out[:, rows] = [probs.data for probs in _forward_slice(members, prepared)]
     for m, probs in zip(members, out):
         finite = np.isfinite(probs)
         if not finite.all():

@@ -130,7 +130,6 @@ def train(model: RankingModel, train_instances, config: TrainConfig):
         raise ContractError("train requires a validation set (eval-format instances)")
     pairs = [(inst.context, inst.response) for inst in train_instances]
     labels = np.array([inst.label for inst in train_instances], dtype=np.float64)
-    prepared = prepare_pairs(model, pairs)
 
     rng = np.random.default_rng(config.seed)
     optimizer = RmsProp(model.params, learning_rate=config.learning_rate, epsilon=config.epsilon)
@@ -143,7 +142,8 @@ def train(model: RankingModel, train_instances, config: TrainConfig):
         order = rng.permutation(len(pairs))
         total = 0.0
         for batch_index, rows in enumerate(batch_indices(order, config.batch_size)):
-            probabilities = forward_batch(model, prepared, rows)
+            prepared = prepare_pairs(model, [pairs[i] for i in rows])
+            probabilities = forward_batch(model, prepared)
             objective = batch_loss(probabilities, labels[rows])
             value = float(objective.data)
             if not np.isfinite(value):

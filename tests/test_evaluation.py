@@ -131,16 +131,7 @@ class TestTuneScale:
         scored = [ScoredCandidateSet(a_probs, fix_cwf), ScoredCandidateSet(b_probs, b_cwf)]
         assert recall_at_k(ranks_at_scale(scored, 0.0), 1) == 0.5
         assert recall_at_k(ranks_at_scale(scored, 0.1), 1) == 1.0
-        assert tune_scale_from_scored(scored, grid=[0.0, 0.1]) == 0.1
-
-    def test_singleton_grid(self):
-        scored = [ScoredCandidateSet(np.random.default_rng(8).random(10), np.zeros(10))]
-        assert tune_scale_from_scored(scored, grid=[0.0]) == 0.0
-
-    def test_grid_must_include_zero(self):
-        scored = [ScoredCandidateSet(np.zeros(10), np.zeros(10))]
-        with pytest.raises(ContractError):
-            tune_scale_from_scored(scored, grid=[0.1])
+        assert tune_scale_from_scored(scored) == 0.1  # the smallest grid value above 0.05
 
     def test_default_grid_shape(self):
         assert 0.0 in DEFAULT_SCALE_GRID

@@ -116,6 +116,14 @@ class TestLstmEncode:
         out = lstm_encode(Tensor(rng.normal(size=(1, 3, 5))), np.array([0]), *params)
         np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("lengths", [[4, -3], [-1], [4, 6]])
+    def test_a_length_outside_the_sequence_is_refused(self, lengths):
+        rng = np.random.default_rng(1)
+        params, _ = make_lstm(3, 2, rng)
+        x = Tensor(rng.normal(size=(len(lengths), 3, 5)))
+        with pytest.raises(ContractError, match=r"\[0, 5\]"):
+            lstm_encode(x, np.array(lengths), *params)
+
     def test_single_step_matches_cell_oracle(self):
         rng = np.random.default_rng(2)
         params, _ = make_lstm(2, 2, rng)
@@ -347,6 +355,8 @@ class TestLstmEncodeStack:
         with pytest.raises(ShapeError, match="share rows"):
             lstm_encode_stack([job_a, (Tensor(b["x"].data[:2]), lb[:2], b["w_in"], b["w_rec"], b["bias"])])
         with pytest.raises(ContractError, match="longest length"):
+            lstm_encode_stack([job_a, (b["x"], np.minimum(lb, lb.max() - 1), b["w_in"], b["w_rec"], b["bias"])])
+        with pytest.raises(ContractError, match="must lie in"):  # a negative length in the second job
             lstm_encode_stack([job_a, (b["x"], lb - 1, b["w_in"], b["w_rec"], b["bias"])])
 
 

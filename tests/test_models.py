@@ -377,7 +377,7 @@ class TestEndToEndGradients:
             (("hi3", "hi2", "hi1", "hi0"), ("hi1", "hi2", "hi3")),
         ]
         prepared = prepare_pairs(model, pairs)
-        assert [ids.shape[1] for ids, _ in prepared.select()[0].values()] == [4, 3]
+        assert [ids.shape[1] for ids, _ in prepared.columns.values()] == [4, 3]
         labels = Tensor(np.array([1.0, 0.0, 1.0, 0.0]))
 
         def loss():
@@ -388,35 +388,28 @@ class TestEndToEndGradients:
         assert report.passed, (report.worst_parameter, report.max_relative_error)
 
 
-class Untrimmed(PreparedPairs):
-    """Prepared pairs whose ``select()`` returns every column as stored, uncut."""
-
-    def select(self, rows=None):
-        assert rows is None, "all pairs only"
-        return dict(self.columns), self.context_of
-
-
 def full_width(prepared, max_len):
-    """The same rows with every column padded to max_len, selected uncut."""
+    """The same rows with every column padded to max_len."""
     columns = {
         name: (np.pad(ids, ((0, 0), (0, max_len - ids.shape[1]))), lengths)
         for name, (ids, lengths) in prepared.columns.items()
     }
-    return Untrimmed(columns, prepared.context_of)
+    return PreparedPairs(columns, prepared.context_of)
 
 
 class TestBatchTrim:
     @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_select_cuts_columns_to_the_longest_true_length(self, arch):
+    def test_prepare_pairs_cuts_columns_to_the_longest_true_length(self, arch):
         model, _ = build_model(tiny_config(arch, max_len=6, k=3), tiny_vocab())
         pairs = [(("hi0", "lo0"), ("hi1", "hi2", "lo1")), (("hi1",), ()), (("lo0", "hi2", "lo1"), ("hi3",))]
-        prepared = prepare_pairs(model, pairs)
-        for rows in (None, [1], np.array([2, 0])):
-            selected, context_of = prepared.select(rows)
-            np.testing.assert_array_equal(context_of, np.arange(3 if rows is None else len(rows)))
-            for name, (ids, lengths) in selected.items():
+        whole = prepare_pairs(model, pairs)
+        for rows in (None, [1], [2, 0]):
+            prepared = prepare_pairs(model, pairs if rows is None else [pairs[i] for i in rows])
+            np.testing.assert_array_equal(prepared.context_of, np.arange(3 if rows is None else len(rows)))
+            assert prepared.columns.keys() == whole.columns.keys()
+            for name, (ids, lengths) in prepared.columns.items():
                 assert ids.shape == (len(lengths), lengths.max(initial=0)), (name, rows)
-                full_ids, full_lengths = prepared.columns[name]
+                full_ids, full_lengths = whole.columns[name]
                 picked = slice(None) if rows is None else rows  # distinct contexts: row i is pair i's
                 np.testing.assert_array_equal(lengths, full_lengths[picked])
                 np.testing.assert_array_equal(ids, full_ids[picked][:, : ids.shape[1]])
@@ -481,14 +474,14 @@ class TestSharedContexts:
     def test_shared_contexts_score_as_distinct_ones(self, arch, k):
         model, _ = build_model(tiny_config(arch, max_len=6, k=k, hidden_size=3), tiny_vocab())
         randomize_parameters(model, np.random.default_rng(6))
-        prepared = prepare_pairs(model, self.PAIRS)
-        assert prepared.columns["ctx_high"][0].shape[0] == 3
-        for rows in (None, np.array([4, 0, 6, 2, 1])):
-            labels = np.arange(len(self.PAIRS) if rows is None else len(rows)) % 2.0
+        assert prepare_pairs(model, self.PAIRS).columns["ctx_high"][0].shape[0] == 3
+        for rows in (None, [4, 0, 6, 2, 1]):
+            prepared = prepare_pairs(model, self.PAIRS if rows is None else [self.PAIRS[i] for i in rows])
+            labels = np.arange(len(prepared.context_of)) % 2.0
             results = []
             for batch in (prepared, distinct_contexts(prepared)):
                 model.params.zero_gradients()
-                p = forward_batch(model, batch, rows)
+                p = forward_batch(model, batch)
                 backward(batch_loss(p, labels))
                 results.append((p.data, {name: t.grad.copy() for name, t in model.params.items()}))
             (p_shared, g_shared), (p_distinct, g_distinct) = results
@@ -532,18 +525,18 @@ class TestSharedContexts:
         assert texts[RESPONSE] == len(self.PAIRS) * (2 if arch == "mfcw_lstm" else 1)
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_select_keeps_only_the_contexts_of_the_chosen_pairs(self, arch):
+    def test_prepare_pairs_keeps_only_the_contexts_of_the_chosen_pairs(self, arch):
         model, _ = build_model(tiny_config(arch, max_len=6, k=3), tiny_vocab())
-        prepared = prepare_pairs(model, self.PAIRS)
+        whole = prepare_pairs(model, self.PAIRS)
         bands = ("high", "low") if arch == "mfcw_lstm" else ("high",)
         # (pairs, their distinct contexts in order of first use, each pair's index into those)
         for rows, contexts, context_of in (([1, 3], [1, 2], [0, 1]), ([4, 0, 6], [0, 1], [0, 0, 1]),
                                            ([5, 3], [2], [0, 0]), ([6], [1], [0])):
-            selected, got = prepared.select(np.array(rows))
-            np.testing.assert_array_equal(got, context_of)
+            prepared = prepare_pairs(model, [self.PAIRS[i] for i in rows])
+            np.testing.assert_array_equal(prepared.context_of, context_of)
             for band in bands:
-                ids, lengths = selected[f"ctx_{band}"]
-                full_ids, full_lengths = prepared.columns[f"ctx_{band}"]
+                ids, lengths = prepared.columns[f"ctx_{band}"]
+                full_ids, full_lengths = whole.columns[f"ctx_{band}"]
                 np.testing.assert_array_equal(lengths, full_lengths[contexts])
                 assert ids.shape == (len(contexts), lengths.max()), (rows, band)
                 np.testing.assert_array_equal(ids, full_ids[contexts][:, : ids.shape[1]])
@@ -637,6 +630,20 @@ class TestScoreMembers:
         contexts = [inst.context for inst in evals]
         score_members(members, [(contexts[i % 4], evals[i % 4].candidates[i // 4 % 10]) for i in range(64)])
         assert all(rows <= 16 for _, rows in stacks) and 64 in alone
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_a_batch_size_below_one_is_refused_before_any_work(self, monkeypatch, batch_size):
+        model, _ = build_model(tiny_config("dual_lstm"), tiny_vocab())
+        pairs = [(("hi0",), ("hi1",))] * 10
+
+        def unreachable(*args):
+            raise AssertionError("prepared pairs for a refused batch size")
+
+        monkeypatch.setattr(models, "prepare_pairs", unreachable)
+        with pytest.raises(ContractError, match="batch_size"):
+            model.score_pairs(pairs, batch_size=batch_size)
+        with pytest.raises(ContractError, match="batch_size"):
+            score_members([model], pairs, batch_size)
 
 
 class TestForwardBatchStacks:
